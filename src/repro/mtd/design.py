@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import minimize
 
 from repro.exceptions import MTDDesignError, OPFConvergenceError, OPFInfeasibleError
@@ -38,8 +39,9 @@ from repro.grid.network import PowerNetwork
 from repro.mtd.perturbation import ReactancePerturbation
 from repro.mtd.subspace import subspace_angle
 from repro.opf.dc_opf import solve_dc_opf
-from repro.opf.reactance_opf import solve_reactance_opf
+from repro.opf.reactance_opf import ReactanceConstraint, solve_reactance_opf
 from repro.opf.result import OPFResult
+from repro.utils.linalg import orthonormal_basis
 from repro.utils.rng import as_generator
 
 DesignMethod = Literal["joint", "two-stage", "max-spa"]
@@ -150,6 +152,48 @@ def spa_of_reactances(
     """
     candidate = reduced_measurement_matrix(network, np.asarray(reactances, dtype=float))
     return subspace_angle(attacker_matrix, candidate)
+
+
+def spa_gradient(
+    network: PowerNetwork,
+    attacker_basis: np.ndarray,
+    reactances: np.ndarray,
+) -> np.ndarray:
+    """Exact gradient ``∂γ(H_t, H(x))/∂x`` over the full reactance vector.
+
+    ``attacker_basis`` is an orthonormal basis ``Q_a`` of ``Col(H_t)``.  With
+    ``H' = H(x)`` and ``P⊥ = I − Q_a Q_aᵀ``, ``sin²γ`` is the largest
+    eigenvalue ``λ`` of the pencil ``(H'ᵀP⊥H', H'ᵀH')``.  For its eigenvector
+    ``v`` normalised to ``vᵀH'ᵀH'v = 1`` and ``w = P⊥H'v − λH'v``,
+    ``∂λ/∂x_l = 2 (∂H/∂x_l v)ᵀw``, and ``∂H/∂x_l`` is the rank-one
+    ``−b_l² [e_l; −e_l; a_l] a_lᵀ`` (``b = 1/x``, ``a_l`` the incidence
+    column of branch ``l``), so the whole gradient costs one small
+    generalized eigenproblem.  ``∂γ = ∂λ / (2 sinγ cosγ)``; where that
+    vanishes (``γ ∈ {0, π/2}``, where ``γ`` is not differentiable) the
+    gradient is returned as zero.
+    """
+    x = np.asarray(reactances, dtype=float)
+    candidate = reduced_measurement_matrix(network, x)
+    outside = candidate - attacker_basis @ (attacker_basis.T @ candidate)
+    n = candidate.shape[1]
+    eigenvalues, eigenvectors = scipy.linalg.eigh(
+        outside.T @ outside, candidate.T @ candidate, subset_by_index=[n - 1, n - 1]
+    )
+    lam = float(eigenvalues[0])
+    sin_cos = np.sqrt(max(lam, 0.0) * max(1.0 - lam, 0.0))
+    n_branches = x.shape[0]
+    if sin_cos == 0.0:
+        return np.zeros(n_branches)
+    v = eigenvectors[:, 0]
+    w = outside @ v - lam * (candidate @ v)
+    topology = network.arrays.topology
+    incidence = topology.incidence()
+    v_full = np.zeros(network.n_buses)
+    v_full[topology.non_slack()] = v
+    a_v = incidence.T @ v_full
+    a_w = w[:n_branches] - w[n_branches : 2 * n_branches] + incidence.T @ w[2 * n_branches :]
+    d_lam = -2.0 * a_v * a_w / x**2
+    return d_lam / (2.0 * sin_cos)
 
 
 def design_mtd_perturbation(
@@ -605,10 +649,17 @@ def _joint_design(
     max_iterations: int,
     seed: int | np.random.Generator | None,
 ) -> MTDDesignResult:
-    """The SPA-constrained OPF of eq. (4) via SLSQP + MultiStart."""
+    """The SPA-constrained OPF of eq. (4) via SLSQP + MultiStart.
 
-    def spa_constraint(x_full: np.ndarray) -> float:
-        return spa_of_reactances(network, attacker_matrix, x_full) - gamma_threshold
+    The SPA constraint carries its exact gradient (:func:`spa_gradient`);
+    its values stay on :func:`subspace_angle`, so every reported SPA is the
+    same metric the rest of the library uses.
+    """
+    attacker_basis = orthonormal_basis(attacker_matrix)
+    spa_constraint = ReactanceConstraint(
+        value=lambda x: spa_of_reactances(network, attacker_matrix, x) - gamma_threshold,
+        gradient=lambda x: spa_gradient(network, attacker_basis, x),
+    )
 
     try:
         opf = solve_reactance_opf(
@@ -655,5 +706,6 @@ __all__ = [
     "design_mtd_perturbation",
     "max_spa_perturbation",
     "spa_of_reactances",
+    "spa_gradient",
     "DesignMethod",
 ]

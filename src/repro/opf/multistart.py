@@ -17,11 +17,17 @@ import numpy as np
 from scipy.optimize import NonlinearConstraint, minimize
 
 from repro.exceptions import OPFConvergenceError
+from repro.telemetry import metrics as _metrics
+from repro.telemetry.config import _STATE as _TELEMETRY
 
 
 @dataclass
 class LocalSolve:
-    """Outcome of a single local optimisation run."""
+    """Outcome of a single local optimisation run.
+
+    ``nfev`` and ``njev`` are the local solver's objective and Jacobian
+    evaluation counts, as scipy reports them.
+    """
 
     x: np.ndarray
     objective: float
@@ -29,6 +35,8 @@ class LocalSolve:
     success: bool
     message: str
     iterations: int
+    nfev: int = 0
+    njev: int = 0
 
     @property
     def feasible(self) -> bool:
@@ -83,7 +91,13 @@ class MultiStartOptimizer:
         (or ``None``).
     inequality_constraints:
         Callable returning a vector that must be **non-negative** at feasible
-        points (or ``None``), matching scipy's SLSQP convention.
+        points (or ``None``), matching scipy's SLSQP convention.  Its
+        Jacobian, like the equality constraints', is finite-differenced by
+        the local solver.
+    inequality_with_jacobian:
+        Optional ``(fun, jac)`` pair: a further block of inequality
+        constraints (non-negative when satisfied) with its exact Jacobian
+        ``jac(z)`` of shape ``(m, n)``, handed to the solver as its own block.
     max_iterations:
         Iteration cap for each local solve.
     tolerance:
@@ -96,6 +110,9 @@ class MultiStartOptimizer:
         bounds: Sequence[tuple[float | None, float | None]],
         equality_constraints: Callable[[np.ndarray], np.ndarray] | None = None,
         inequality_constraints: Callable[[np.ndarray], np.ndarray] | None = None,
+        inequality_with_jacobian: tuple[
+            Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]
+        ] | None = None,
         max_iterations: int = 200,
         tolerance: float = 1e-8,
     ) -> None:
@@ -103,6 +120,7 @@ class MultiStartOptimizer:
         self._bounds = list(bounds)
         self._eq = equality_constraints
         self._ineq = inequality_constraints
+        self._ineq_jac = inequality_with_jacobian
         self._max_iterations = int(max_iterations)
         self._tolerance = float(tolerance)
 
@@ -116,6 +134,10 @@ class MultiStartOptimizer:
             runs.append(self._solve_single(np.asarray(start, dtype=float)))
         feasible = [run for run in runs if run.feasible]
         best = min(feasible, key=lambda r: r.objective) if feasible else None
+        if _TELEMETRY.enabled:
+            _metrics.counter("opf.nlp.local_solves", len(runs))
+            _metrics.counter("opf.nlp.iterations", sum(run.iterations for run in runs))
+            _metrics.counter("opf.nlp.jacobian_evals", sum(run.njev for run in runs))
         return MultiStartOutcome(best=best, runs=runs)
 
     # ------------------------------------------------------------------
@@ -125,6 +147,9 @@ class MultiStartOptimizer:
             constraints.append({"type": "eq", "fun": self._eq})
         if self._ineq is not None:
             constraints.append({"type": "ineq", "fun": self._ineq})
+        if self._ineq_jac is not None:
+            fun, jac = self._ineq_jac
+            constraints.append({"type": "ineq", "fun": fun, "jac": jac})
         try:
             result = minimize(
                 self._objective,
@@ -153,6 +178,8 @@ class MultiStartOptimizer:
             success=bool(result.success),
             message=str(result.message),
             iterations=int(getattr(result, "nit", 0) or 0),
+            nfev=int(getattr(result, "nfev", 0) or 0),
+            njev=int(getattr(result, "njev", 0) or 0),
         )
 
     def _max_violation(self, x: np.ndarray) -> float:
@@ -161,8 +188,11 @@ class MultiStartOptimizer:
             eq_values = np.atleast_1d(np.asarray(self._eq(x), dtype=float))
             if eq_values.size:
                 violation = max(violation, float(np.max(np.abs(eq_values))))
-        if self._ineq is not None:
-            ineq_values = np.atleast_1d(np.asarray(self._ineq(x), dtype=float))
+        inequalities = [] if self._ineq is None else [self._ineq]
+        if self._ineq_jac is not None:
+            inequalities.append(self._ineq_jac[0])
+        for ineq in inequalities:
+            ineq_values = np.atleast_1d(np.asarray(ineq(x), dtype=float))
             if ineq_values.size:
                 violation = max(violation, float(np.max(np.maximum(0.0, -ineq_values))))
         for index, (low, high) in enumerate(self._bounds):

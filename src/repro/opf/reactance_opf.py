@@ -8,13 +8,17 @@ method under a MultiStart driver.
 
 The same machinery serves the MTD design problem of eq. (4): the caller adds
 extra inequality constraints that depend only on the full branch-reactance
-vector (e.g. the subspace-angle constraint ``γ(H_t, H'(x)) ≥ γ_th``).
+vector (e.g. the subspace-angle constraint ``γ(H_t, H'(x)) ≥ γ_th``).  Each
+comes with its exact gradient, and SLSQP receives them as their own
+constraint block with a Jacobian; the balance and flow constraints keep
+scipy's finite differences, so a problem without extra constraints (eq. (1))
+takes the same solver path whether or not the design machinery is in use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,10 +34,38 @@ from repro.opf.multistart import MultiStartOptimizer
 from repro.opf.result import OPFResult
 from repro.utils.rng import as_generator
 
-#: Signature of a constraint depending only on the branch reactance vector.
-#: The callable must return a value (or vector) that is non-negative when
-#: the constraint is satisfied.
-ReactanceConstraint = Callable[[np.ndarray], float | np.ndarray]
+
+class ReactanceConstraint(NamedTuple):
+    """An inequality constraint on the full branch-reactance vector ``x``.
+
+    ``value(x)`` returns a scalar (or a length-``m`` vector) that is
+    non-negative when the constraint is satisfied; ``gradient(x)`` returns
+    its exact derivative with respect to ``x``, shape ``(L,)`` (or
+    ``(m, L)``).  A plain ``(value, gradient)`` tuple is accepted as well.
+    """
+
+    value: Callable[[np.ndarray], float | np.ndarray]
+    gradient: Callable[[np.ndarray], np.ndarray]
+
+
+def _as_reactance_constraint(constraint: object) -> ReactanceConstraint:
+    """Validate one extra constraint, naming what is missing on failure."""
+    if isinstance(constraint, tuple) and len(constraint) == 2 and all(
+        callable(part) for part in constraint
+    ):
+        return ReactanceConstraint(*constraint)
+    if callable(constraint):
+        name = getattr(constraint, "__name__", repr(constraint))
+        raise TypeError(
+            f"extra reactance constraint {name!r} has no gradient: pass "
+            "ReactanceConstraint(value, gradient), where gradient(x) is the "
+            "derivative of value(x) with respect to the full branch-reactance "
+            "vector x"
+        )
+    raise TypeError(
+        "an extra reactance constraint must be a ReactanceConstraint(value, "
+        f"gradient) pair of callables, got {type(constraint).__name__}"
+    )
 
 
 @dataclass
@@ -50,6 +82,9 @@ class ReactanceOPFProblem:
 
     def __post_init__(self) -> None:
         network = self.network
+        self.extra_reactance_constraints = tuple(
+            _as_reactance_constraint(c) for c in self.extra_reactance_constraints
+        )
         self.loads_mw = np.asarray(self.loads_mw, dtype=float).ravel()
         if self.loads_mw.shape[0] != network.n_buses:
             raise OPFInfeasibleError(
@@ -63,6 +98,9 @@ class ReactanceOPFProblem:
         self._dfacts = np.array(network.dfacts_branches, dtype=int)
         self._n_dfacts = self._dfacts.shape[0]
         self._A = incidence_matrix(network)
+        # C-ordered copy so ``b[:, None] * A^T`` has the memory layout of the
+        # dense ``diag(b) @ A^T`` and the matrix-vector products round alike.
+        self._A_T = np.ascontiguousarray(self._A.T)
         self._C = generator_incidence_matrix(network)
         self._costs = network.generator_costs()
         self._p_min, self._p_max = network.generator_limits_mw()
@@ -124,26 +162,39 @@ class ReactanceOPFProblem:
         g, theta_red, x_d = self.split(z)
         x = self.full_reactances(x_d)
         theta = self.full_angles(theta_red)
-        susceptance = self._A @ np.diag(1.0 / x) @ self._A.T
+        susceptance = (self._A * (1.0 / x)) @ self._A.T
         return self._C @ g - self._loads_pu - susceptance @ theta
 
     def inequality_constraints(self, z: np.ndarray) -> np.ndarray:
-        """All inequality constraints, non-negative when satisfied."""
+        """Flow-limit constraints ``f^max ∓ f``, non-negative when satisfied."""
         _, theta_red, x_d = self.split(z)
         x = self.full_reactances(x_d)
         theta = self.full_angles(theta_red)
-        flows = np.diag(1.0 / x) @ self._A.T @ theta
-        parts = []
-        if np.any(self._finite_limits):
-            limited = self._finite_limits
-            parts.append(self._limits_pu[limited] - flows[limited])
-            parts.append(self._limits_pu[limited] + flows[limited])
-        for constraint in self.extra_reactance_constraints:
-            value = np.atleast_1d(np.asarray(constraint(x), dtype=float))
-            parts.append(value)
-        if not parts:
+        flows = (1.0 / x)[:, None] * self._A_T @ theta
+        if not np.any(self._finite_limits):
             return np.zeros(0)
-        return np.concatenate(parts)
+        limited = self._finite_limits
+        limits = self._limits_pu[limited]
+        return np.concatenate([limits - flows[limited], limits + flows[limited]])
+
+    def reactance_constraints(self, z: np.ndarray) -> np.ndarray:
+        """The extra reactance constraints, non-negative when satisfied."""
+        x = self.full_reactances(self.split(z)[2])
+        values = [c.value(x) for c in self.extra_reactance_constraints]
+        return np.concatenate([np.atleast_1d(np.asarray(v, dtype=float)) for v in values])
+
+    def reactance_constraints_jacobian(self, z: np.ndarray) -> np.ndarray:
+        """Exact Jacobian of :meth:`reactance_constraints` with respect to ``z``.
+
+        Each gradient is taken over the full branch-reactance vector; only
+        its D-FACTS columns depend on ``z``, and they land in the ``x_D``
+        block of the decision vector.
+        """
+        x = self.full_reactances(self.split(z)[2])
+        rows = np.vstack([np.atleast_2d(c.gradient(x)) for c in self.extra_reactance_constraints])
+        jacobian = np.zeros((rows.shape[0], self.n_variables))
+        jacobian[:, self._n_gen + self._n_theta :] = rows[:, self._dfacts]
+        return jacobian
 
     def bounds(self) -> list[tuple[float | None, float | None]]:
         """Bounds for ``z``: generator limits, free angles, D-FACTS limits."""
@@ -212,7 +263,7 @@ class ReactanceOPFProblem:
         g, theta_red, x_d = self.split(z)
         x = self.full_reactances(x_d)
         theta = self.full_angles(theta_red)
-        flows_pu = np.diag(1.0 / x) @ self._A.T @ theta
+        flows_pu = (1.0 / x)[:, None] * self._A_T @ theta
         cost = float(np.dot(self._costs * self._base, g))
         return OPFResult(
             cost=cost,
@@ -246,9 +297,11 @@ def solve_reactance_opf(
     loads_mw:
         Optional load override (MW per bus).
     extra_reactance_constraints:
-        Additional inequality constraints evaluated on the *full* branch
-        reactance vector; each must return a non-negative value when
-        satisfied.  The MTD design problem passes the SPA constraint here.
+        Additional :class:`ReactanceConstraint` ``(value, gradient)`` pairs
+        evaluated on the *full* branch reactance vector; each value must be
+        non-negative when satisfied.  The MTD design problem passes the SPA
+        constraint here.  A bare callable without a gradient raises
+        :class:`TypeError`.
     n_random_starts:
         Number of random-interior MultiStart points (in addition to the
         nominal and corner starts).
@@ -281,6 +334,11 @@ def solve_reactance_opf(
         bounds=problem.bounds(),
         equality_constraints=problem.equality_constraints,
         inequality_constraints=problem.inequality_constraints,
+        inequality_with_jacobian=(
+            (problem.reactance_constraints, problem.reactance_constraints_jacobian)
+            if problem.extra_reactance_constraints
+            else None
+        ),
         max_iterations=max_iterations,
     )
     outcome = optimizer.solve(problem.starting_points(n_random=n_random_starts, seed=seed))

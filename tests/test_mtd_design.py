@@ -6,15 +6,23 @@ import numpy as np
 import pytest
 
 from repro.exceptions import MTDDesignError
-from repro.grid.cases import case14
+from repro.grid.cases import case14, load_case
 from repro.grid.matrices import reduced_measurement_matrix
 from repro.mtd.design import (
     design_mtd_perturbation,
     max_spa_perturbation,
+    spa_gradient,
     spa_of_reactances,
 )
 from repro.mtd.random_mtd import RandomMTDBaseline
 from repro.mtd.tradeoff import compute_tradeoff_curve
+from repro.opf.multistart import MultiStartOptimizer
+from repro.opf.reactance_opf import (
+    ReactanceConstraint,
+    ReactanceOPFProblem,
+    solve_reactance_opf,
+)
+from repro.utils.linalg import orthonormal_basis
 
 
 class TestMaxSPA:
@@ -123,6 +131,89 @@ class TestJointDesign:
         design = design_mtd_perturbation(net14, gamma_threshold=0.1, method="max-spa", seed=0)
         assert design.method == "max-spa"
         assert design.achieved_spa > 0.2
+
+
+class TestSPAGradient:
+    """``spa_gradient`` is the exact derivative of the operational SPA."""
+
+    @pytest.mark.parametrize("case_name", ["ieee14", "ieee30", "case30.m", "synthetic57"])
+    def test_matches_central_differences(self, case_name):
+        network = load_case(case_name)
+        attacker_matrix = reduced_measurement_matrix(network, network.reactances())
+        x = network.reactances()
+        low, high = network.reactance_bounds()
+        dfacts = list(network.dfacts_branches)
+        x[dfacts] = np.random.default_rng(3).uniform(low[dfacts], high[dfacts])
+        gradient = spa_gradient(network, orthonormal_basis(attacker_matrix), x)
+        reference = np.zeros_like(x)
+        for branch in range(x.shape[0]):
+            step = 1e-6 * x[branch]
+            up, down = x.copy(), x.copy()
+            up[branch] += step
+            down[branch] -= step
+            reference[branch] = (
+                spa_of_reactances(network, attacker_matrix, up)
+                - spa_of_reactances(network, attacker_matrix, down)
+            ) / (2.0 * step)
+        assert spa_of_reactances(network, attacker_matrix, x) > 0.05
+        error = np.max(np.abs(gradient - reference)) / np.max(np.abs(reference))
+        assert error <= 1e-5
+
+    def test_finite_at_the_attackers_knowledge(self, net14):
+        x = net14.reactances()
+        attacker_matrix = reduced_measurement_matrix(net14, x)
+        assert spa_of_reactances(net14, attacker_matrix, x) == pytest.approx(0.0, abs=1e-7)
+        gradient = spa_gradient(net14, orthonormal_basis(attacker_matrix), x)
+        assert gradient.shape == x.shape
+        assert np.all(np.isfinite(gradient))
+
+
+@pytest.fixture(scope="module")
+def eq1_reactances14(net14):
+    """The eq. (1) optimum's reactances: the attacker's knowledge below."""
+    return solve_reactance_opf(net14).reactances
+
+
+class TestEq4AgainstFiniteDifferenceOracle:
+    """Eq. (4) with the exact SPA gradient matches the finite-difference SLSQP path."""
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.2, 0.3])
+    def test_cost_and_spa_match(self, net14, eq1_reactances14, gamma):
+        attacker_matrix = reduced_measurement_matrix(net14, eq1_reactances14)
+        loads = net14.loads_mw()
+
+        def spa_value(x):
+            return spa_of_reactances(net14, attacker_matrix, x) - gamma
+
+        # Oracle: SLSQP finite-differences the SPA together with the flows.
+        problem = ReactanceOPFProblem(network=net14, loads_mw=loads)
+
+        def flows_and_spa(z):
+            x = problem.full_reactances(problem.split(z)[2])
+            return np.append(problem.inequality_constraints(z), spa_value(x))
+
+        oracle = MultiStartOptimizer(
+            objective=problem.objective,
+            bounds=problem.bounds(),
+            equality_constraints=problem.equality_constraints,
+            inequality_constraints=flows_and_spa,
+            max_iterations=200,
+        ).solve(problem.starting_points(n_random=2, seed=0)).require_best()
+        oracle_cost = problem.cost_from_objective(oracle.objective)
+
+        basis = orthonormal_basis(attacker_matrix)
+        exact = solve_reactance_opf(
+            net14,
+            loads_mw=loads,
+            extra_reactance_constraints=[
+                ReactanceConstraint(spa_value, lambda x: spa_gradient(net14, basis, x))
+            ],
+            n_random_starts=2,
+            max_iterations=200,
+            seed=0,
+        )
+        assert exact.cost == pytest.approx(oracle_cost, rel=1e-6)
+        assert spa_of_reactances(net14, attacker_matrix, exact.reactances) >= gamma - 1e-6
 
 
 class TestRandomBaseline:

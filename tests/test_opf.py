@@ -4,13 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from repro.exceptions import OPFConvergenceError, OPFInfeasibleError
-from repro.grid.cases import case4gs, case14
+from repro.grid.cases import available_cases, case4gs, case14, load_case
+from repro.grid.matrices import generator_incidence_matrix, incidence_matrix
 from repro.opf.dc_opf import opf_cost, solve_dc_opf
 from repro.opf.multistart import LocalSolve, MultiStartOptimizer
-from repro.opf.reactance_opf import ReactanceOPFProblem, solve_reactance_opf
+from repro.opf.reactance_opf import (
+    ReactanceConstraint,
+    ReactanceOPFProblem,
+    solve_reactance_opf,
+)
 from repro.powerflow.dc import solve_dc_power_flow
+from repro.telemetry import metrics
+from repro.telemetry.config import enabled_scope
 
 
 class TestDCOPF:
@@ -115,10 +123,41 @@ class TestReactanceOPF:
         def push_line1_up(x):
             return x[0] - 1.2 * nominal_x0  # >= 0 iff x0 >= 1.2 * nominal
 
+        def push_line1_up_gradient(x):
+            gradient = np.zeros_like(x)
+            gradient[0] = 1.0
+            return gradient
+
+        constraint = ReactanceConstraint(push_line1_up, push_line1_up_gradient)
         result = solve_reactance_opf(
-            net4, extra_reactance_constraints=[push_line1_up], n_random_starts=2, seed=0
+            net4,
+            extra_reactance_constraints=[constraint],
+            n_random_starts=2,
+            seed=0,
         )
         assert result.reactances[0] >= 1.2 * nominal_x0 - 1e-6
+
+    def test_extra_constraint_without_gradient_is_rejected(self, net4):
+        def push_line1_up(x):
+            return x[0] - 1.2 * net4.reactances()[0]
+
+        with pytest.raises(TypeError, match="push_line1_up.*no gradient"):
+            solve_reactance_opf(net4, extra_reactance_constraints=[push_line1_up])
+        with pytest.raises(TypeError, match="ReactanceConstraint"):
+            solve_reactance_opf(net4, extra_reactance_constraints=[0.5])
+
+    def test_plain_value_gradient_tuple_is_accepted(self, net4):
+        problem = ReactanceOPFProblem(
+            network=net4,
+            loads_mw=net4.loads_mw(),
+            extra_reactance_constraints=((np.sum, np.ones_like),),
+        )
+        (constraint,) = problem.extra_reactance_constraints
+        assert isinstance(constraint, ReactanceConstraint)
+        jacobian = problem.reactance_constraints_jacobian(np.ones(problem.n_variables))
+        assert jacobian.shape == (1, problem.n_variables)
+        assert np.all(jacobian[0, -problem.n_dfacts :] == 1.0)
+        assert not np.any(jacobian[0, : -problem.n_dfacts])
 
     def test_problem_vector_layout(self, net14):
         problem = ReactanceOPFProblem(network=net14, loads_mw=net14.loads_mw())
@@ -135,6 +174,37 @@ class TestReactanceOPF:
     def test_problem_rejects_bad_loads(self, net14):
         with pytest.raises(OPFInfeasibleError):
             ReactanceOPFProblem(network=net14, loads_mw=np.ones(2))
+
+
+class TestConstraintAssembly:
+    """The broadcast builders equal the dense ``diag(1/x)`` products bit for bit."""
+
+    @pytest.mark.parametrize("case_name", available_cases())
+    def test_matches_dense_diagonal_products(self, case_name):
+        network = load_case(case_name)
+        problem = ReactanceOPFProblem(network=network, loads_mw=network.loads_mw())
+        A = incidence_matrix(network)
+        C = generator_incidence_matrix(network)
+        loads_pu = network.loads_mw() / network.base_mva
+        limits_pu = network.flow_limits_mw() / network.base_mva
+        limited = np.isfinite(limits_pu)
+        low, high = np.array(problem.bounds(), dtype=float).T
+        rng = np.random.default_rng(11)
+        for _ in range(2):
+            z = rng.uniform(low, high)
+            g, theta_red, x_d = problem.split(z)
+            x = problem.full_reactances(x_d)
+            theta = problem.full_angles(theta_red)
+            susceptance = A @ np.diag(1.0 / x) @ A.T
+            flows = np.diag(1.0 / x) @ A.T @ theta
+            assert np.array_equal(
+                problem.equality_constraints(z), C @ g - loads_pu - susceptance @ theta
+            )
+            parts = [limits_pu[limited] - flows[limited], limits_pu[limited] + flows[limited]]
+            expected = np.concatenate(parts) if np.any(limited) else np.zeros(0)
+            assert np.array_equal(problem.inequality_constraints(z), expected)
+            result = problem.result_from_vector(z, status="test", iterations=0, violation=0.0)
+            assert np.array_equal(result.flows_mw, flows * network.base_mva)
 
 
 class TestMultiStart:
@@ -184,6 +254,45 @@ class TestMultiStart:
         outcome = optimizer.solve([np.array([0.5])])
         assert outcome.best is None
         assert not outcome.runs[0].success
+
+    def test_telemetry_counts_match_scipy_and_leave_results_unchanged(self):
+        bounds = [(-2.0, 2.0), (-2.0, 2.0)]
+
+        def objective(z):
+            return float((z[0] - 1.0) ** 2 + (z[1] + 0.5) ** 2 + z[0] * z[1])
+
+        def inequality(z):
+            return np.array([1.0 - z[0] - z[1], z[0] + 1.5])
+
+        starts = [np.array([1.5, 1.5]), np.array([-1.0, 0.5])]
+        optimizer = MultiStartOptimizer(
+            objective=objective, bounds=bounds, inequality_constraints=inequality
+        )
+        with enabled_scope(False):
+            off = optimizer.solve(starts)
+        metrics.reset()
+        try:
+            with enabled_scope(True):
+                on = optimizer.solve(starts)
+            counters = metrics.snapshot().counters
+        finally:
+            metrics.reset()
+
+        for run_off, run_on, start in zip(off.runs, on.runs, starts):
+            assert run_off.x.tobytes() == run_on.x.tobytes()
+            assert run_off.objective == run_on.objective
+            direct = minimize(
+                objective, start, method="SLSQP", bounds=bounds,
+                constraints=[{"type": "ineq", "fun": inequality}],
+                options={"maxiter": 200, "ftol": 1e-8},
+            )
+            assert (run_on.iterations, run_on.nfev, run_on.njev) == (
+                direct.nit, direct.nfev, direct.njev
+            )
+            assert run_on.njev > 0
+        assert counters["opf.nlp.local_solves"] == len(starts)
+        assert counters["opf.nlp.iterations"] == sum(run.iterations for run in on.runs)
+        assert counters["opf.nlp.jacobian_evals"] == sum(run.njev for run in on.runs)
 
     def test_feasibility_tolerance_constant(self):
         assert LocalSolve.FEASIBILITY_TOL == pytest.approx(1e-5)
