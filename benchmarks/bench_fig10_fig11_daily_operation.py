@@ -76,7 +76,7 @@ def day_spec(scale, *, legacy: bool):
 
 def run_day(spec, n_workers: int) -> OperationResult:
     engine = ScenarioEngine(n_workers=n_workers)
-    return OperationResult.from_scenario(engine.run(spec, use_cache=False))
+    return OperationResult.from_scenario(engine.run(spec))
 
 
 def bench_fig10_fig11_daily_operation(benchmark, scale):

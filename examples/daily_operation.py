@@ -54,7 +54,7 @@ def main() -> None:
         seed=0,
     )
     n_workers = max(1, min(4, os.cpu_count() or 1))
-    result = OperationEngine(n_workers=n_workers).run(spec, use_cache=False)
+    result = OperationEngine(n_workers=n_workers).run(spec)
 
     rows = []
     for record in result:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Scenario engine walkthrough: a multi-case suite, run parallel and cached.
+"""Scenario engine walkthrough: a multi-case suite, run parallel and stored.
 
 The script builds a suite spanning four grids — the paper's IEEE 14- and
 30-bus cases plus the 57- and 118-bus synthetic networks from the case
@@ -9,8 +9,9 @@ registry — and runs it three ways:
 2. on a process pool, verifying the results are **bit-identical** to the
    serial run (per-trial seed-spawned RNG streams make execution order
    irrelevant);
-3. again with an on-disk cache, showing the whole suite replays from disk
-   without re-executing a single trial.
+3. as a campaign into an on-disk store, twice, showing the second run
+   replays the whole suite from the store without executing a single
+   trial.
 
 Run with ``python examples/scenario_suite.py``.
 """
@@ -20,8 +21,15 @@ from __future__ import annotations
 import os
 import tempfile
 
-from repro import ScenarioEngine, scenario_suite
+from repro import (
+    CampaignDefinition,
+    CampaignStore,
+    ScenarioEngine,
+    run_campaign,
+    scenario_suite,
+)
 from repro.analysis.reporting import format_table
+from repro.campaign import query_results
 from repro.engine.results import merge_metric
 
 #: Demo overrides: a reduced attack budget, but the paper's Monte-Carlo
@@ -80,22 +88,21 @@ def main() -> None:
           f"max {pooled.max():.4f} rad")
 
     # ------------------------------------------------------------------
-    # 3. Cached run — second invocation is free.
+    # 3. Stored run — the second invocation executes nothing.
     # ------------------------------------------------------------------
-    with tempfile.TemporaryDirectory(prefix="repro-cache-") as tmp:
-        cached_engine = ScenarioEngine(cache=tmp, n_workers=4)
-        first = cached_engine.run_suite(suite)
-        executed_after_first = cached_engine.executed_trials
-        second = cached_engine.run_suite(suite)
-        print(f"\nCache at {tmp}: {cached_engine.cache.stats()}")
-        print(f"Trials executed in first pass: {executed_after_first}, "
-              f"in second pass: {cached_engine.executed_trials - executed_after_first}")
-        all_cached = all(result.from_cache for result in second)
-        replayed = all(a.trials == b.trials for a, b in zip(first, second))
-        print(f"Second pass served entirely from cache: {all_cached} "
-              f"(results identical: {replayed})")
-        assert all_cached and replayed
-        assert cached_engine.executed_trials == executed_after_first
+    definition = CampaignDefinition(name="scale-suite", points=tuple(suite))
+    with tempfile.TemporaryDirectory(prefix="repro-store-") as tmp:
+        first = run_campaign(definition, tmp)
+        second = run_campaign(definition, tmp)
+        print(f"\nStore at {tmp}: first run executed {len(first.executed)} "
+              f"scenario(s), second run executed {len(second.executed)} and "
+              f"skipped {len(second.skipped)} already stored")
+        stored = query_results(CampaignStore(tmp))
+        replayed = [r.trials for r in stored] == [p.trials for p in parallel]
+        print(f"Stored results identical to the parallel run: {replayed}")
+        assert second.executed == ()
+        assert set(second.skipped) == {spec.content_hash() for spec in suite}
+        assert replayed
 
 
 if __name__ == "__main__":

@@ -71,7 +71,6 @@ from repro.attacks import (
     targeted_state_attack,
 )
 from repro.mtd import (
-    DailyMTDScheduler,
     EffectivenessEvaluator,
     EffectivenessResult,
     MTDDesignResult,
@@ -102,7 +101,6 @@ from repro.engine import (
     DetectorSpec,
     GridSpec,
     MTDSpec,
-    ResultCache,
     ScenarioEngine,
     ScenarioResult,
     ScenarioSpec,
@@ -110,7 +108,6 @@ from repro.engine import (
     available_scenarios,
     expand_grid,
     paper_scenarios,
-    run_scenario,
     run_trial_batch,
     scenario_suite,
 )
@@ -204,7 +201,6 @@ __all__ = [
     "RandomMTDBaseline",
     "TradeoffCurve",
     "compute_tradeoff_curve",
-    "DailyMTDScheduler",
     "nyiso_like_winter_day",
     "available_shapes",
     "day_shape",
@@ -223,9 +219,7 @@ __all__ = [
     "ContingencySpec",
     "expand_grid",
     "ScenarioEngine",
-    "run_scenario",
     "run_trial_batch",
-    "ResultCache",
     "ScenarioResult",
     "TrialResult",
     "available_scenarios",

@@ -36,12 +36,12 @@ class Finding:
         uses ``module`` so baselines are working-directory independent).
     module:
         Dotted import path when the file belongs to a package reachable
-        through ``__init__.py`` chains (``"repro.engine.cache"``), else
+        through ``__init__.py`` chains (``"repro.campaign.store"``), else
         ``None``.
     line, column:
         1-based line and 0-based column of the offending node.
     scope:
-        Dotted enclosing definition, e.g. ``"ResultCache.clear"``, or
+        Dotted enclosing definition, e.g. ``"CampaignStore._segment_files"``, or
         ``"<module>"`` at top level.
     code:
         The stripped source line (identity anchor for the fingerprint).

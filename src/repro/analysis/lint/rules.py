@@ -189,9 +189,9 @@ class UnsortedIterationRule(Rule):
         "Path.glob/iterdir and os.listdir return entries in filesystem "
         "order, and set iteration order depends on insertion history and "
         "PYTHONHASHSEED. Feeding either into results, serialization or "
-        "work scheduling makes output ordering machine-dependent — the "
-        "exact bug class fixed in repro.engine.cache (ResultCache.clear/"
-        "__len__ iterated an unsorted glob). Wrap the producer in "
+        "work scheduling makes output ordering machine-dependent (the "
+        "campaign store sorts its segment-file glob for this reason). "
+        "Wrap the producer in "
         "sorted(...); for genuinely order-insensitive consumption, "
         "suppress with a justification comment."
     )

@@ -15,7 +15,8 @@ of work:
   construction;
 * :mod:`repro.campaign.orchestrator` — :func:`run_campaign` /
   :class:`CampaignOrchestrator`, sharded execution with spec-hash-accounted
-  resume and :class:`~repro.engine.cache.ResultCache` interop;
+  resume — the store is the repository's one durable, hash-addressed
+  result store, so re-running a completed campaign executes nothing;
 * :mod:`repro.campaign.query` — filter / group-by /
   :class:`~repro.analysis.montecarlo.MonteCarloSummary` roll-ups / CSV
   export over a store;

@@ -80,11 +80,11 @@ def _budget_overrides(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _orchestrator(args: argparse.Namespace, create: bool = True) -> CampaignOrchestrator:
+    # A path lets the orchestrator validate its options before it creates
+    # the store; resume opens an existing store only.
+    store = args.store if create else CampaignStore(args.store, create=False)
     return CampaignOrchestrator(
-        CampaignStore(args.store, create=create),
-        n_workers=args.workers,
-        batch_size=args.batch_size,
-        cache=args.cache,
+        store, n_workers=args.workers, batch_size=args.batch_size
     )
 
 
@@ -94,8 +94,8 @@ def _print_report(report: CampaignReport, store: str) -> None:
         f"{report.n_items} distinct scenarios"
     )
     print(
-        f"  executed {len(report.executed)}, replayed {len(report.from_cache)} "
-        f"from cache, skipped {len(report.skipped)} already stored "
+        f"  executed {len(report.executed)}, "
+        f"skipped {len(report.skipped)} already stored "
         f"({len(report.shards_run)} shard(s), {report.elapsed_seconds:.2f}s)"
     )
     state = "complete" if report.complete else "incomplete — run resume to continue"
@@ -108,7 +108,6 @@ def _print_report(report: CampaignReport, store: str) -> None:
         store=str(store),
         plan_hash=report.plan_hash,
         executed=len(report.executed),
-        from_cache=len(report.from_cache),
         skipped=len(report.skipped),
         elapsed_seconds=report.elapsed_seconds,
         complete=report.complete,
@@ -304,8 +303,6 @@ def _add_execution_options(parser: argparse.ArgumentParser) -> None:
                         help="shard-level worker processes (default: 1)")
     parser.add_argument("--batch-size", type=int, default=None,
                         help="trial-batch size forwarded to the engines")
-    parser.add_argument("--cache", default=None,
-                        help="ResultCache directory to interop with")
     parser.add_argument("--shard-limit", type=int, default=None,
                         help="run at most this many incomplete shards (checkpointing)")
     parser.add_argument("--telemetry", action="store_true",

@@ -2,17 +2,18 @@
 
 :func:`run_campaign` is the write path of the campaign subsystem: it
 expands a :class:`~repro.campaign.definition.CampaignDefinition` into its
-deterministic work plan, subtracts what the store already holds (and what
-an attached :class:`~repro.engine.cache.ResultCache` can replay without
-executing), shards the remaining work across worker processes, and streams
-every completed scenario into the store the moment it finishes.
+deterministic work plan, subtracts what the store already holds, shards
+the remaining work across worker processes, and streams every completed
+scenario into the store the moment it finishes.
 
 Because work is accounted by spec content hash, re-invoking the same
 campaign against the same store — after a crash, a ``kill -9``, or a
 deliberate ``shard_limit`` checkpoint — executes exactly the scenarios
 whose hashes are missing and nothing else.  ``resume`` is therefore not a
 separate mechanism: it is :func:`run_campaign` with the definition reloaded
-from the store's manifest.
+from the store's manifest.  Nor is replay: re-running a completed campaign
+executes nothing (every scenario is reported as ``skipped``), and
+:func:`repro.campaign.query.query_results` reads the stored results back.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Sequence
 from repro.campaign.definition import CAMPAIGN_SCHEMA_VERSION, CampaignDefinition
 from repro.campaign.plan import CampaignPlan, Shard, plan_campaign
 from repro.campaign.store import CampaignStore
-from repro.engine.cache import ResultCache
 from repro.engine.results import ScenarioResult
 from repro.engine.runner import ScenarioEngine
 from repro.engine.spec import ScenarioSpec
@@ -77,9 +77,8 @@ class CampaignStatus:
 class CampaignReport:
     """What one :func:`run_campaign` invocation did.
 
-    ``executed``, ``from_cache`` and ``skipped`` partition the plan's work
-    items by how this invocation satisfied them: ran the trials, replayed a
-    :class:`ResultCache` entry into the store, or found the hash already in
+    ``executed`` and ``skipped`` partition the plan's work items by how this
+    invocation satisfied them: ran the trials, or found the hash already in
     the store.  The spec-hash accounting is exact, which is what the resume
     tests assert against.
     """
@@ -88,7 +87,6 @@ class CampaignReport:
     n_points: int
     n_items: int
     executed: tuple[str, ...] = ()
-    from_cache: tuple[str, ...] = ()
     skipped: tuple[str, ...] = ()
     shards_run: tuple[int, ...] = ()
     elapsed_seconds: float = 0.0
@@ -99,23 +97,21 @@ class CampaignReport:
 
     @property
     def complete(self) -> bool:
-        return len(self.executed) + len(self.from_cache) + len(self.skipped) == self.n_items
+        return len(self.executed) + len(self.skipped) == self.n_items
 
 
 def _run_shard(
     shard_index: int,
     specs: Sequence[ScenarioSpec],
     batch_size: int | None,
-    cache_dir: str | None,
     telemetry: bool = False,
     progress_dir: str | None = None,
 ) -> tuple[int, list[ScenarioResult], dict]:
     """Worker entry point: run one shard's scenarios serially in-process.
 
     Module-level and picklable so a ``ProcessPoolExecutor`` can ship it.
-    The worker attaches the shared :class:`ResultCache` directory (if any)
-    so freshly executed scenarios also land in the cache, and runs with
-    ``n_workers=1`` — parallelism lives at the shard level.
+    The worker runs with ``n_workers=1`` — parallelism lives at the shard
+    level — and hands its results back for the parent to append.
 
     The ``telemetry`` flag travels explicitly (pool workers do not inherit
     the parent's runtime switch under every start method).  When set, the
@@ -127,12 +123,12 @@ def _run_shard(
     concurrent shard workers interleave safely via atomic appends.
     """
     if not telemetry:
-        engine = ScenarioEngine(cache=cache_dir, n_workers=1, batch_size=batch_size)
+        engine = ScenarioEngine(n_workers=1, batch_size=batch_size)
         return shard_index, [engine.run(spec) for spec in specs], {}
     set_enabled(True)
     before = _metrics.snapshot()
     start = time.perf_counter()
-    engine = ScenarioEngine(cache=cache_dir, n_workers=1, batch_size=batch_size)
+    engine = ScenarioEngine(n_workers=1, batch_size=batch_size)
     writer = ProgressWriter(progress_dir) if progress_dir else None
     progress = (
         ShardProgress(writer, shard_index, len(specs)) if writer is not None else None
@@ -172,10 +168,9 @@ class CampaignOrchestrator:
         shards on a process pool (streaming shard-by-shard).
     batch_size:
         Trial-batch size forwarded to the per-shard engines.
-    cache:
-        Optional :class:`ResultCache` (or directory) interop: scenarios
-        already in the cache are ingested into the store instead of re-run,
-        and executed scenarios are written back to the cache.
+
+    Both counts are validated before the store is opened, so a rejected
+    configuration leaves no trace on disk.
     """
 
     def __init__(
@@ -183,27 +178,21 @@ class CampaignOrchestrator:
         store: CampaignStore | str | Path,
         n_workers: int = 1,
         batch_size: int | None = None,
-        cache: ResultCache | str | Path | None = None,
     ) -> None:
-        self._store = store if isinstance(store, CampaignStore) else CampaignStore(store)
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be at least 1, got {n_workers}")
+        if batch_size is not None and batch_size < 1:
+            raise ConfigurationError(
+                f"batch_size must be at least 1 (or None), got {batch_size}"
+            )
+        self._store = store if isinstance(store, CampaignStore) else CampaignStore(store)
         self._n_workers = int(n_workers)
         self._batch_size = batch_size
-        if cache is None or isinstance(cache, ResultCache):
-            self._cache = cache
-        else:
-            self._cache = ResultCache(cache)
 
     @property
     def store(self) -> CampaignStore:
         """The campaign store results stream into."""
         return self._store
-
-    @property
-    def cache(self) -> ResultCache | None:
-        """The interop result cache, or ``None``."""
-        return self._cache
 
     # ------------------------------------------------------------------
     def _check_manifest(self, plan: CampaignPlan) -> None:
@@ -241,8 +230,7 @@ class CampaignOrchestrator:
         """Execute every missing scenario of the campaign (or the first
         ``shard_limit`` incomplete shards of it).
 
-        Work already present in the store is skipped; work the interop
-        cache can replay is ingested without execution; the rest runs
+        Work already present in the store is skipped; the rest runs
         sharded, streaming into the store as it completes.
         """
         instrumented = _TELEMETRY.enabled
@@ -259,20 +247,8 @@ class CampaignOrchestrator:
         completed = self._store.completed_hashes() & set(plan.items)
         skipped = tuple(h for h in plan.items if h in completed)
 
-        from_cache: list[str] = []
         shard_wall: dict[int, float] = {}
         try:
-            # ResultCache interop: replay cached scenarios into the store.
-            if self._cache is not None:
-                for spec_hash, spec in plan.items.items():
-                    if spec_hash in completed:
-                        continue
-                    hit = self._cache.get(spec)
-                    if hit is not None:
-                        self._store.append(hit, shard=plan.shard_of(spec_hash))
-                        completed.add(spec_hash)
-                        from_cache.append(spec_hash)
-
             pending = [
                 shard
                 for shard in plan.shards
@@ -288,7 +264,6 @@ class CampaignOrchestrator:
                     plan_hash=plan.plan_hash,
                     n_items=plan.n_items,
                     completed=len(completed),
-                    from_cache=len(from_cache),
                     pending_shards=[shard.index for shard in pending],
                     workers=self._n_workers,
                     heartbeat_interval=progress.min_interval,
@@ -310,7 +285,6 @@ class CampaignOrchestrator:
         if instrumented:
             _metrics.counter("campaign.runs")
             _metrics.counter("campaign.scenarios_executed", len(executed))
-            _metrics.counter("campaign.scenarios_from_cache", len(from_cache))
             _metrics.counter("campaign.scenarios_skipped", len(skipped))
             delta = _metrics.snapshot().subtract(before)
             trials_executed = sum(
@@ -320,7 +294,6 @@ class CampaignOrchestrator:
                 delta,
                 elapsed_seconds=elapsed,
                 executed=len(executed),
-                from_cache=len(from_cache),
                 skipped=len(skipped),
                 trials_executed=trials_executed,
                 shard_wall_seconds=shard_wall,
@@ -335,12 +308,9 @@ class CampaignOrchestrator:
             progress.emit(
                 "run_done",
                 executed=len(executed),
-                from_cache=len(from_cache),
                 skipped=len(skipped),
                 elapsed_seconds=elapsed,
-                complete=(
-                    len(executed) + len(from_cache) + len(skipped) == plan.n_items
-                ),
+                complete=len(executed) + len(skipped) == plan.n_items,
             )
             progress.close()
 
@@ -349,7 +319,6 @@ class CampaignOrchestrator:
             n_points=plan.n_points,
             n_items=plan.n_items,
             executed=tuple(executed),
-            from_cache=tuple(from_cache),
             skipped=skipped,
             shards_run=tuple(shard.index for shard in pending),
             elapsed_seconds=elapsed,
@@ -371,14 +340,11 @@ class CampaignOrchestrator:
         number excludes pickling/queueing overhead).
         """
         instrumented = _TELEMETRY.enabled
-        cache_dir = None if self._cache is None else str(self._cache.directory)
         executed: list[str] = []
         if self._n_workers <= 1:
             # In-process execution streams scenario-by-scenario (the finest
             # crash granularity) through one engine shared by every shard.
-            engine = ScenarioEngine(
-                cache=cache_dir, n_workers=1, batch_size=self._batch_size
-            )
+            engine = ScenarioEngine(n_workers=1, batch_size=self._batch_size)
             for shard in pending:
                 shard_span = (
                     _span("campaign.shard", shard=shard.index)
@@ -427,7 +393,6 @@ class CampaignOrchestrator:
                     index,
                     specs,
                     self._batch_size,
-                    cache_dir,
                     instrumented,
                     progress_dir,
                 )
@@ -496,13 +461,10 @@ def run_campaign(
     store: CampaignStore | str | Path,
     n_workers: int = 1,
     batch_size: int | None = None,
-    cache: ResultCache | str | Path | None = None,
     shard_limit: int | None = None,
 ) -> CampaignReport:
     """One-shot convenience wrapper around :class:`CampaignOrchestrator`."""
-    orchestrator = CampaignOrchestrator(
-        store, n_workers=n_workers, batch_size=batch_size, cache=cache
-    )
+    orchestrator = CampaignOrchestrator(store, n_workers=n_workers, batch_size=batch_size)
     return orchestrator.run(definition, shard_limit=shard_limit)
 
 

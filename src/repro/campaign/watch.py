@@ -97,7 +97,7 @@ class WatchView:
     #: The campaign-complete verdict carried by ``run_done`` (``None``
     #: while the run is still going).
     run_reported_complete: bool | None = None
-    #: Final partition from ``run_done`` (executed/from_cache/skipped).
+    #: Final partition from ``run_done`` (executed/skipped).
     partition: Mapping[str, int] | None = None
     #: Scenarios per second over the sliding window (``None`` = unknown).
     rate: float | None = None
@@ -260,7 +260,7 @@ def analyze_progress(
             )
             partition = {
                 key: int(event.get(key, 0))
-                for key in ("executed", "from_cache", "skipped")
+                for key in ("executed", "skipped")
             }
             continue
         shard = event.get("shard")
@@ -443,7 +443,6 @@ def render_view(view: WatchView) -> str:
     if view.run_complete and view.partition is not None:
         lines.append(
             f"  run complete: executed {view.partition.get('executed', 0)}, "
-            f"from cache {view.partition.get('from_cache', 0)}, "
             f"skipped {view.partition.get('skipped', 0)}"
         )
     elif view.complete:

@@ -1,4 +1,4 @@
-"""Scenario engine: declarative experiment specs with parallel, cached runs.
+"""Scenario engine: declarative experiment specs with parallel, batched runs.
 
 The engine separates *what* an experiment is from *how* it executes:
 
@@ -8,11 +8,9 @@ The engine separates *what* an experiment is from *how* it executes:
   (:func:`expand_grid`);
 * :mod:`repro.engine.runner` — :class:`ScenarioEngine`, executing specs
   serially or on a process pool with bit-identical results;
-* :mod:`repro.engine.batch` — :func:`run_trial_batch`, the batched trial
-  kernel sharing one factorization cache per trial block (the
-  ``batch_size`` knob; bit-identical to the per-trial path);
-* :mod:`repro.engine.cache` — :class:`ResultCache`, an on-disk store keyed
-  by spec hash so re-running a suite is free;
+* :mod:`repro.engine.batch` — :func:`run_trial_batch`, the trial kernel
+  every run goes through, sharing one factorization cache per trial block
+  (the ``batch_size`` knob; bit-identical to :func:`run_trial` per index);
 * :mod:`repro.engine.results` — :class:`TrialResult` /
   :class:`ScenarioResult`, aggregating into the library's
   :class:`~repro.analysis.montecarlo.MonteCarloSummary`;
@@ -20,9 +18,10 @@ The engine separates *what* an experiment is from *how* it executes:
   figures/tables and the 57-/118-bus synthetic scale cases.
 
 Grid-expansion semantics (``expand_grid`` / ``run_sweep``) are owned by
-the campaign planner (:mod:`repro.campaign.plan`); for durable, sharded,
-resumable sweeps over the same specs see :mod:`repro.campaign` and the
-``python -m repro`` CLI.
+the campaign planner (:mod:`repro.campaign.plan`).  The engine keeps
+results in memory; for durable, hash-addressed, resumable runs over the
+same specs — a completed scenario is replayed from the store, not
+re-executed — see :mod:`repro.campaign` and the ``python -m repro`` CLI.
 
 Quickstart
 ----------
@@ -33,16 +32,15 @@ Quickstart
 ...     mtd=MTDSpec(policy="designed", gamma_threshold=0.25),
 ...     n_trials=4,
 ... )
->>> engine = ScenarioEngine(cache=".repro-cache", n_workers=4)
+>>> engine = ScenarioEngine(n_workers=4)
 >>> result = engine.run(spec)          # doctest: +SKIP
 >>> result.summarize("eta(0.9)").mean  # doctest: +SKIP
 0.97
 """
 
 from repro.engine.batch import DEFAULT_MODEL_CACHE_SIZE, run_trial_batch
-from repro.engine.cache import ResultCache
 from repro.engine.results import ScenarioResult, TrialResult, merge_metric
-from repro.engine.runner import ScenarioEngine, run_scenario
+from repro.engine.runner import ScenarioEngine
 from repro.engine.scenarios import (
     available_scenarios,
     paper_scenarios,
@@ -68,8 +66,6 @@ __all__ = [
     "ContingencySpec",
     "expand_grid",
     "ScenarioEngine",
-    "run_scenario",
-    "ResultCache",
     "ScenarioResult",
     "TrialResult",
     "merge_metric",

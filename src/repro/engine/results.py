@@ -4,12 +4,12 @@ A scenario run produces one :class:`TrialResult` per trial — a flat mapping
 of named scalar metrics — collected into a :class:`ScenarioResult` that
 aggregates any metric into the library's standard
 :class:`~repro.analysis.montecarlo.MonteCarloSummary`.  Both records
-round-trip through plain dicts/JSON, which is what the on-disk cache stores.
+round-trip through plain dicts/JSON, which is what a campaign store persists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -63,12 +63,14 @@ class ScenarioResult:
     trials: tuple[TrialResult, ...]
     elapsed_seconds: float = 0.0
     n_workers: int = 1
+    #: ``True`` when the result was read back from a campaign store
+    #: rather than executed in this process.
     from_cache: bool = False
     #: Per-scenario telemetry delta (a plain
     #: :meth:`~repro.telemetry.metrics.MetricsSnapshot.to_dict` payload), or
     #: ``None`` when telemetry was off.  In-memory only: excluded from
     #: equality and from :meth:`to_dict`, so stored records — and therefore
-    #: every cache entry and campaign segment — are byte-identical whether
+    #: every campaign segment — are byte-identical whether
     #: telemetry was on or off.
     telemetry: dict[str, Any] | None = field(default=None, compare=False)
 
@@ -112,7 +114,7 @@ class ScenarioResult:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
-        """Plain-data representation (what the on-disk cache stores)."""
+        """Plain-data representation (what a campaign store persists)."""
         return {
             "spec": self.spec.to_dict(),
             "spec_hash": self.spec.content_hash(),
@@ -131,10 +133,6 @@ class ScenarioResult:
             n_workers=int(data.get("n_workers", 1)),
             from_cache=from_cache,
         )
-
-    def as_cached(self) -> "ScenarioResult":
-        """A copy flagged as served from the cache."""
-        return replace(self, from_cache=True)
 
 
 def merge_metric(results: Iterable[ScenarioResult], metric: str | None = None) -> np.ndarray:

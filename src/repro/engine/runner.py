@@ -3,24 +3,25 @@
 :class:`ScenarioEngine` is the single entry point the benchmarks, examples
 and tests drive Monte-Carlo experiments through.  It expands a
 :class:`~repro.engine.spec.ScenarioSpec` (or a suite/sweep of them) into
-independent trials and executes them either serially or on a
+contiguous blocks of trial indices and executes every block through
+:func:`repro.engine.batch.run_trial_batch`, either serially or on a
 ``concurrent.futures`` process pool.  Because every trial seeds itself from
 ``(base_seed, trial_index)`` (see :mod:`repro.engine.trial`), the parallel
 results are bit-identical to the serial ones — parallelism is purely a
 throughput knob.
 
-The same holds for *batching*: with a ``batch_size`` (on the engine, the
-spec, or the :meth:`ScenarioEngine.run` call), trials are executed in
-blocks through :func:`repro.engine.batch.run_trial_batch`, sharing one
-:class:`~repro.estimation.linear_model.LinearModelCache` per block so that
-trials evaluating the same (case, perturbation) pair factorize the
-measurement Jacobian once.  Batched results are bit-identical to serial
-per-trial results.
+The same holds for the block size (``batch_size`` on the engine, the spec,
+or the :meth:`ScenarioEngine.run` call; one trial per block by default):
+each block shares one
+:class:`~repro.estimation.linear_model.LinearModelCache`, so trials
+evaluating the same (case, perturbation) pair factorize the measurement
+Jacobian once, and the results are bit-identical to calling
+:func:`~repro.engine.trial.run_trial` per index.
 
-With a :class:`~repro.engine.cache.ResultCache` attached, completed
-scenarios are persisted by content hash and replayed for free on the next
-run; re-running a whole suite after an interruption only executes the
-missing scenarios.
+The engine keeps results in memory only.  Durable, hash-addressed
+persistence — and replaying a completed scenario without executing it —
+is :func:`repro.campaign.orchestrator.run_campaign` against a
+:class:`~repro.campaign.store.CampaignStore`.
 """
 
 from __future__ import annotations
@@ -28,15 +29,12 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
-from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.campaign.plan import plan_sweep
 from repro.engine.batch import run_trial_batch, run_trial_batch_instrumented
-from repro.engine.cache import ResultCache
 from repro.engine.results import ScenarioResult
 from repro.engine.spec import ScenarioSpec
-from repro.engine.trial import run_trial, run_trial_instrumented
 from repro.exceptions import ConfigurationError
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import progress as _progress
@@ -49,29 +47,17 @@ class ScenarioEngine:
 
     Parameters
     ----------
-    cache:
-        ``None`` (no caching), an existing :class:`ResultCache`, or a
-        directory path to create one in.
     n_workers:
         Default worker count for :meth:`run`; 1 means serial in-process
         execution, larger values use a process pool.
     batch_size:
-        Default trial-batch size for :meth:`run`.  ``None`` or 1 runs the
-        per-trial path; larger values execute trials in blocks of
-        ``batch_size`` through the batched kernel with per-block
-        factorization caching.  Results are bit-identical either way.
+        Default trial-block size for :meth:`run`.  ``None`` or 1 runs one
+        trial per block; larger values run blocks of ``batch_size`` trials
+        sharing one factorization cache.  Results are bit-identical either
+        way.
     """
 
-    def __init__(
-        self,
-        cache: ResultCache | str | Path | None = None,
-        n_workers: int = 1,
-        batch_size: int | None = None,
-    ) -> None:
-        if cache is None or isinstance(cache, ResultCache):
-            self._cache = cache
-        else:
-            self._cache = ResultCache(cache)
+    def __init__(self, n_workers: int = 1, batch_size: int | None = None) -> None:
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be at least 1, got {n_workers}")
         if batch_size is not None and batch_size < 1:
@@ -80,12 +66,6 @@ class ScenarioEngine:
             )
         self._n_workers = int(n_workers)
         self._batch_size = None if batch_size is None else int(batch_size)
-        self.executed_trials = 0
-
-    @property
-    def cache(self) -> ResultCache | None:
-        """The attached result cache, or ``None``."""
-        return self._cache
 
     @property
     def n_workers(self) -> int:
@@ -94,7 +74,7 @@ class ScenarioEngine:
 
     @property
     def batch_size(self) -> int | None:
-        """Default trial-batch size used by :meth:`run` (``None`` = per-trial)."""
+        """Default trial-block size used by :meth:`run` (``None`` = 1)."""
         return self._batch_size
 
     # ------------------------------------------------------------------
@@ -102,10 +82,9 @@ class ScenarioEngine:
         self,
         spec: ScenarioSpec,
         n_workers: int | None = None,
-        use_cache: bool = True,
         batch_size: int | None = None,
     ) -> ScenarioResult:
-        """Run one scenario (or replay it from the cache).
+        """Run one scenario.
 
         Parameters
         ----------
@@ -113,19 +92,11 @@ class ScenarioEngine:
             The scenario to execute.
         n_workers:
             Override of the engine's default worker count for this run.
-        use_cache:
-            Set to ``False`` to force re-execution even on a cache hit (the
-            fresh result still overwrites the cache entry).
         batch_size:
-            Override of the trial-batch size for this run; falls back to
+            Override of the trial-block size for this run; falls back to
             ``spec.batch_size``, then the engine default.  Never changes
             results, only how they are computed.
         """
-        if use_cache and self._cache is not None:
-            hit = self._cache.get(spec)
-            if hit is not None:
-                return hit
-
         workers = self._n_workers if n_workers is None else int(n_workers)
         if workers < 1:
             raise ConfigurationError(f"n_workers must be at least 1, got {workers}")
@@ -136,6 +107,7 @@ class ScenarioEngine:
             raise ConfigurationError(
                 f"batch_size must be at least 1 (or None), got {batch_size}"
             )
+        chunks = _chunk_indices(spec.n_trials, int(batch_size or 1))
 
         instrumented = _TELEMETRY.enabled
         before = _metrics.snapshot() if instrumented else None
@@ -148,65 +120,34 @@ class ScenarioEngine:
         if scenario_span is not None:
             scenario_span.__enter__()
         try:
-            if batch_size is None or batch_size <= 1:
-                if workers <= 1:
-                    # Explicit loop (not a comprehension) so the progress
-                    # sink can heartbeat mid-scenario; a no-op without one.
-                    trials = []
-                    for index in range(spec.n_trials):
-                        trials.append(run_trial(spec, index))
-                        _progress.tick(
-                            scenario=spec.name,
-                            trial=index + 1,
-                            n_trials=spec.n_trials,
-                        )
-                elif instrumented:
-                    # Workers run the instrumented wrapper, which forces the
-                    # telemetry switch on worker-side and ships back a
-                    # (trial, snapshot) pair; merging the per-trial deltas
-                    # is exact and order-independent.
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        pairs = list(
-                            pool.map(
-                                run_trial_instrumented, repeat(spec), range(spec.n_trials)
-                            )
-                        )
-                    trials = [trial for trial, _ in pairs]
-                    for _, worker_snapshot in pairs:
-                        _metrics.merge_snapshot(worker_snapshot)
-                else:
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        trials = list(
-                            pool.map(run_trial, repeat(spec), range(spec.n_trials))
-                        )
+            if workers <= 1:
+                # Explicit loop (not a comprehension) so the progress sink
+                # can heartbeat mid-scenario; a no-op without one.
+                batches = []
+                for chunk in chunks:
+                    batches.append(run_trial_batch(spec, chunk))
+                    _progress.tick(
+                        scenario=spec.name,
+                        trial=chunk[-1] + 1,
+                        n_trials=spec.n_trials,
+                    )
             else:
-                chunks = _chunk_indices(spec.n_trials, int(batch_size))
-                if workers <= 1:
-                    batches = []
-                    for chunk in chunks:
-                        batches.append(run_trial_batch(spec, chunk))
-                        _progress.tick(
-                            scenario=spec.name,
-                            trial=chunk[-1] + 1,
-                            n_trials=spec.n_trials,
-                        )
-                elif instrumented:
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        pairs = list(
-                            pool.map(run_trial_batch_instrumented, repeat(spec), chunks)
-                        )
-                    batches = [batch for batch, _ in pairs]
-                    for _, worker_snapshot in pairs:
+                # Pool workers do not inherit the parent's runtime telemetry
+                # switch under every start method, so an instrumented run
+                # ships the wrapper that forces it on worker-side and returns
+                # (batch, snapshot) pairs; merging the per-block deltas is
+                # exact and order-independent.
+                worker = run_trial_batch_instrumented if instrumented else run_trial_batch
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    batches = list(pool.map(worker, repeat(spec), chunks))
+                if instrumented:
+                    for _, worker_snapshot in batches:
                         _metrics.merge_snapshot(worker_snapshot)
-                else:
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        batches = list(pool.map(run_trial_batch, repeat(spec), chunks))
-                trials = [trial for batch in batches for trial in batch]
+                    batches = [batch for batch, _ in batches]
         finally:
             if scenario_span is not None:
                 scenario_span.__exit__(None, None, None)
         elapsed = time.perf_counter() - start
-        self.executed_trials += spec.n_trials
         if instrumented:
             _metrics.counter("engine.scenarios")
             _metrics.counter("engine.trials_executed", spec.n_trials)
@@ -214,34 +155,29 @@ class ScenarioEngine:
         else:
             telemetry = None
 
-        result = ScenarioResult(
+        return ScenarioResult(
             spec=spec,
-            trials=tuple(trials),
+            trials=tuple(trial for batch in batches for trial in batch),
             elapsed_seconds=elapsed,
             n_workers=workers,
             telemetry=telemetry,
         )
-        if self._cache is not None:
-            self._cache.put(spec, result)
-        return result
 
     # ------------------------------------------------------------------
     def run_suite(
         self,
         specs: Iterable[ScenarioSpec],
         n_workers: int | None = None,
-        use_cache: bool = True,
         batch_size: int | None = None,
     ) -> list[ScenarioResult]:
-        """Run several scenarios in order; each is independently cached.
+        """Run several scenarios in order.
 
         Scenario *trials* are parallelised; scenarios themselves run one
         after another so that a suite's memory high-water mark stays at one
         scenario's working set.
         """
         return [
-            self.run(spec, n_workers=n_workers, use_cache=use_cache, batch_size=batch_size)
-            for spec in specs
+            self.run(spec, n_workers=n_workers, batch_size=batch_size) for spec in specs
         ]
 
     def run_sweep(
@@ -249,7 +185,6 @@ class ScenarioEngine:
         base: ScenarioSpec,
         grid: Mapping[str, Sequence[Any]],
         n_workers: int | None = None,
-        use_cache: bool = True,
         name_format: str | None = None,
         batch_size: int | None = None,
     ) -> list[ScenarioResult]:
@@ -266,9 +201,7 @@ class ScenarioEngine:
         use :func:`repro.campaign.orchestrator.run_campaign` instead.
         """
         plan = plan_sweep(base, grid, name_format=name_format)
-        return plan.run(
-            self, n_workers=n_workers, use_cache=use_cache, batch_size=batch_size
-        )
+        return plan.run(self, n_workers=n_workers, batch_size=batch_size)
 
 
 def _chunk_indices(n_trials: int, batch_size: int) -> list[list[int]]:
@@ -279,14 +212,4 @@ def _chunk_indices(n_trials: int, batch_size: int) -> list[list[int]]:
     ]
 
 
-def run_scenario(
-    spec: ScenarioSpec,
-    n_workers: int = 1,
-    cache: ResultCache | str | Path | None = None,
-    batch_size: int | None = None,
-) -> ScenarioResult:
-    """One-shot convenience wrapper around :class:`ScenarioEngine`."""
-    return ScenarioEngine(cache=cache, n_workers=n_workers, batch_size=batch_size).run(spec)
-
-
-__all__ = ["ScenarioEngine", "run_scenario"]
+__all__ = ["ScenarioEngine"]

@@ -9,7 +9,7 @@ stable content hash (:meth:`ScenarioSpec.content_hash`) that identifies the
 trial outcomes, which is what the on-disk cache keys on.
 
 Labelling fields (``name``, ``description``, ``tags``) are excluded from the
-hash so that renaming a scenario does not invalidate cached results.
+hash so that renaming a scenario does not invalidate stored results.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.exceptions import ConfigurationError
 from repro.timeseries.spec import OperationSpec
 
 #: Bumped whenever the trial semantics change in a way that invalidates
-#: previously cached results (the version participates in the content hash).
+#: previously stored results (the version participates in the content hash).
 #: Version 2: the batched trial kernel — detection probabilities are
 #: evaluated with vectorised BLAS kernels, which shifts results by
 #: floating-point rounding relative to the version-1 per-attack loops.
@@ -332,7 +332,7 @@ class ScenarioSpec:
         :data:`~repro.grid.matrices.SPARSE_BUS_THRESHOLD` buses, sparse Q-less
         at or above), ``"dense"`` or ``"sparse"``.  The dense path is
         byte-for-byte the pre-backend arithmetic and the backends agree
-        within solver tolerance, so cached results stay valid across
+        within solver tolerance, so stored results stay valid across
         backend switches.
     description, tags:
         Free-form labels (excluded from the content hash).
@@ -444,7 +444,7 @@ class ScenarioSpec:
 
         Stable across processes and Python versions; labelling and
         execution-tuning fields (``batch_size``) are excluded, so renaming
-        a scenario or changing how it is batched keeps its cached results
+        a scenario or changing how it is batched keeps its stored results
         valid.
         """
         payload = self.to_dict()

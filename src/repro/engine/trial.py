@@ -275,25 +275,6 @@ def _run_trial_body(
     return TrialResult(trial_index=trial_index, metrics=metrics)
 
 
-def run_trial_instrumented(
-    spec: ScenarioSpec, trial_index: int
-) -> tuple[TrialResult, dict]:
-    """Pool-worker entry point that forces telemetry on for one trial.
-
-    Returns ``(trial, snapshot_dict)`` where the snapshot is the worker's
-    metrics delta for exactly this trial, ready for the parent to merge.
-    Shipped to workers instead of :func:`run_trial` when telemetry is
-    enabled, because pool workers do not inherit the parent's runtime
-    telemetry switch under every start method.
-    """
-    from repro.telemetry.config import set_enabled
-
-    set_enabled(True)
-    before = _metrics.snapshot()
-    trial = run_trial(spec, trial_index)
-    return trial, _metrics.snapshot().subtract(before).to_dict()
-
-
 def _apply_policy(
     spec: ScenarioSpec,
     network: PowerNetwork,
@@ -350,7 +331,6 @@ def _apply_policy(
 
 __all__ = [
     "run_trial",
-    "run_trial_instrumented",
     "trial_seed_sequence",
     "network_for_grid",
     "apply_contingency",

@@ -58,7 +58,6 @@ def build_report(
     snapshot: MetricsSnapshot,
     elapsed_seconds: float,
     executed: int = 0,
-    from_cache: int = 0,
     skipped: int = 0,
     trials_executed: int = 0,
     shard_wall_seconds: Mapping[int, float] | None = None,
@@ -74,7 +73,6 @@ def build_report(
         "elapsed_seconds": elapsed,
         "partition": {
             "executed": int(executed),
-            "from_cache": int(from_cache),
             "skipped": int(skipped),
         },
         "throughput": {
@@ -194,7 +192,6 @@ def format_report(report: Mapping[str, Any]) -> str:
     throughput = report.get("throughput", {})
     lines.append(
         f"run: {elapsed:.2f}s — executed {partition.get('executed', 0)}, "
-        f"from cache {partition.get('from_cache', 0)}, "
         f"skipped {partition.get('skipped', 0)}"
     )
     tps = throughput.get("trials_per_second")

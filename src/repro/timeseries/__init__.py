@@ -1,9 +1,8 @@
 """Time-series operation engine: spec'd, parallel multi-day MTD scheduling.
 
 The paper's Section VII-C (Figs. 10-11) simulates *hourly MTD operation*
-over a daily load profile.  This package lifts that simulation out of the
-standalone serial scheduler loop into the repository's spec/engine/campaign
-stack:
+over a daily load profile.  This package runs that simulation through the
+repository's spec/engine/campaign stack, the only daily-operation API:
 
 * :mod:`repro.timeseries.spec` — :class:`ProfileSpec` (multi-day, seasonal,
   per-case-normalised load horizons), :class:`TuningSpec` (scan or
@@ -12,13 +11,14 @@ stack:
   :class:`~repro.engine.spec.ScenarioSpec`;
 * :mod:`repro.timeseries.engine` — :class:`OperationEngine` /
   :func:`run_operation_trial`, executing hours through the scenario
-  engine's pool/cache/batching with seed-spawned per-hour streams
+  engine's pool/batching with seed-spawned per-hour streams
   (parallel bit-identical to serial) and per-hour design memoisation;
 * :mod:`repro.timeseries.results` — :class:`OperationRecord` /
   :class:`OperationResult`, the typed view over the per-hour trials.
 
-The historical :class:`~repro.mtd.scheduler.DailyMTDScheduler` remains as
-a thin compatibility wrapper over this engine.
+A persisted, resumable horizon is a campaign point: run the spec through
+:func:`repro.campaign.run_campaign` (or ``python -m repro suites run
+fig10``) against a store.
 
 Attributes are resolved lazily (PEP 562): the scenario-spec layer imports
 :mod:`repro.timeseries.spec` at module load, and the lazy package keeps

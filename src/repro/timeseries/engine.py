@@ -5,8 +5,8 @@ The engine turns a :class:`~repro.engine.spec.ScenarioSpec` whose
 engine's existing machinery can schedule: **trial ``t`` is hour ``t``** of
 the horizon.  :func:`run_operation_trial` is the unit of work
 (:func:`repro.engine.trial.run_trial` dispatches here), so operated hours
-inherit the process-pool parallelism, trial batching, result caching,
-campaign sharding and resume of ordinary scenarios without new plumbing.
+inherit the process-pool parallelism, trial batching, campaign sharding,
+durable storage and resume of ordinary scenarios without new plumbing.
 
 The deterministic per-horizon context — the hourly loads, the chained
 no-MTD baseline OPFs (with D-FACTS carryover) and each hour's stale
@@ -30,16 +30,13 @@ single bit of its output:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro.engine.cache import ResultCache
-from repro.engine.results import ScenarioResult, TrialResult
+from repro.engine.results import TrialResult
 from repro.engine.runner import ScenarioEngine
 from repro.engine.spec import (
     AttackSpec,
@@ -96,8 +93,8 @@ def _hour_seeds(operation: OperationSpec, base_seed: int, hour: int) -> tuple[in
 
     * ``"spawn"`` — two words of ``SeedSequence(base_seed,
       spawn_key=(hour,))``, the engine's seed-tree convention;
-    * ``"legacy"`` — the historical scheduler derivation
-      ``(base_seed + hour, base_seed)``.
+    * ``"legacy"`` — the historical derivation
+      ``(base_seed + hour, base_seed)`` of the pre-engine serial loop.
     """
     if operation.rng == "legacy":
         return int(base_seed) + int(hour), int(base_seed)
@@ -185,7 +182,7 @@ def _build_hours(
         # Deliberately re-solved rather than read off baselines[k]: a
         # reactance-OPF baseline's angles come from the joint NLP, not
         # from a dispatch-only solve at its final reactances, and the
-        # historical scheduler (whose records the wrapper must reproduce
+        # historical serial loop (whose records the golden test pins
         # bit-for-bit) always performed this LP.
         knowledge_angles = solve_dc_opf(
             network, reactances=knowledge_reactances, loads_mw=loads_list[k]
@@ -214,30 +211,6 @@ def _cached_hours(
     return _build_hours(_cached_network(grid), grid.baseline, operation, base_seed)
 
 
-def _evaluator_for(
-    network: PowerNetwork,
-    hour_context: HourContext,
-    operation: OperationSpec,
-    attack: AttackSpec,
-    detector: DetectorSpec,
-    base_seed: int,
-    backend: str = "auto",
-) -> EffectivenessEvaluator:
-    """The attacker's evaluator for one hour (stale knowledge, fresh seed)."""
-    evaluator_seed, _ = _hour_seeds(operation, base_seed, hour_context.hour)
-    return EffectivenessEvaluator(
-        network,
-        operating_angles_rad=hour_context.knowledge_angles,
-        base_reactances=hour_context.knowledge_reactances,
-        noise_sigma=detector.noise_sigma,
-        false_positive_rate=detector.false_positive_rate,
-        n_attacks=attack.n_attacks,
-        attack_ratio=attack.ratio,
-        seed=evaluator_seed,
-        backend=backend,
-    )
-
-
 @lru_cache(maxsize=64)
 def _cached_evaluator(
     grid: GridSpec,
@@ -248,10 +221,19 @@ def _cached_evaluator(
     hour: int,
     backend: str = "auto",
 ) -> EffectivenessEvaluator:
-    network = _cached_network(grid)
-    hours = _cached_hours(grid, operation, base_seed)
-    return _evaluator_for(
-        network, hours[hour], operation, attack, detector, base_seed, backend
+    """The attacker's evaluator for one hour (stale knowledge, fresh seed)."""
+    hour_context = _cached_hours(grid, operation, base_seed)[hour]
+    evaluator_seed, _ = _hour_seeds(operation, base_seed, hour)
+    return EffectivenessEvaluator(
+        _cached_network(grid),
+        operating_angles_rad=hour_context.knowledge_angles,
+        base_reactances=hour_context.knowledge_reactances,
+        noise_sigma=detector.noise_sigma,
+        false_positive_rate=detector.false_positive_rate,
+        n_attacks=attack.n_attacks,
+        attack_ratio=attack.ratio,
+        seed=evaluator_seed,
+        backend=backend,
     )
 
 
@@ -491,13 +473,12 @@ class OperationEngine:
     """Executes operation scenarios and returns typed hourly records.
 
     A thin façade over :class:`~repro.engine.runner.ScenarioEngine`: runs
-    inherit its result cache, process-pool parallelism over hours and trial
-    batching, and are wrapped into an :class:`OperationResult`.
+    inherit its process-pool parallelism over hours and trial batching, and
+    are wrapped into an :class:`OperationResult`.  To persist an operated
+    horizon, run its spec as a campaign point (see :mod:`repro.campaign`).
 
     Parameters
     ----------
-    cache:
-        ``None``, an existing :class:`ResultCache`, or a directory path.
     n_workers:
         Default worker count; hours of the horizon are the parallel unit.
     batch_size:
@@ -505,13 +486,8 @@ class OperationEngine:
         :class:`~repro.estimation.linear_model.LinearModelCache`).
     """
 
-    def __init__(
-        self,
-        cache: ResultCache | str | Path | None = None,
-        n_workers: int = 1,
-        batch_size: int | None = None,
-    ) -> None:
-        self._engine = ScenarioEngine(cache=cache, n_workers=n_workers, batch_size=batch_size)
+    def __init__(self, n_workers: int = 1, batch_size: int | None = None) -> None:
+        self._engine = ScenarioEngine(n_workers=n_workers, batch_size=batch_size)
 
     @property
     def engine(self) -> ScenarioEngine:
@@ -522,9 +498,7 @@ class OperationEngine:
         self,
         spec: ScenarioSpec,
         n_workers: int | None = None,
-        use_cache: bool = True,
         batch_size: int | None = None,
-        network: PowerNetwork | None = None,
     ) -> OperationResult:
         """Operate the whole horizon and return the per-hour records.
 
@@ -532,37 +506,11 @@ class OperationEngine:
         ----------
         spec:
             A scenario spec with its ``operation`` component set.
-        n_workers, use_cache, batch_size:
+        n_workers, batch_size:
             Forwarded to :meth:`ScenarioEngine.run`.
-        network:
-            Optional explicit network overriding the spec's grid case —
-            the :class:`~repro.mtd.scheduler.DailyMTDScheduler`
-            compatibility path for networks not in the case registry.
-            Runs serially in-process and bypasses the result cache (the
-            spec's grid fields do not describe the actual network).
         """
         _require_operation(spec)
-        if network is None:
-            scenario = self._engine.run(
-                spec, n_workers=n_workers, use_cache=use_cache, batch_size=batch_size
-            )
-            return OperationResult.from_scenario(scenario)
-
-        start = time.perf_counter()
-        hours = _build_hours(network, spec.grid.baseline, spec.operation, spec.base_seed)
-        trials = []
-        for hour_context in hours:
-            evaluator = _evaluator_for(
-                network, hour_context, spec.operation, spec.attack, spec.detector,
-                spec.base_seed,
-            )
-            trials.append(_operate_hour(spec, network, hour_context, evaluator, None))
-        scenario = ScenarioResult(
-            spec=spec,
-            trials=tuple(trials),
-            elapsed_seconds=time.perf_counter() - start,
-            n_workers=1,
-        )
+        scenario = self._engine.run(spec, n_workers=n_workers, batch_size=batch_size)
         return OperationResult.from_scenario(scenario)
 
 
@@ -590,8 +538,10 @@ def daily_operation_spec(
 
     Convenience constructor wiring an :class:`OperationSpec` into a
     :class:`~repro.engine.spec.ScenarioSpec` with the paper's Section VII-C
-    defaults.  ``cost_baseline`` follows the scheduler vocabulary
-    (``"reactance-opf"`` — paper eq. (1) — or ``"dispatch-only"``).
+    defaults.  ``cost_baseline`` is ``"reactance-opf"`` (paper eq. (1): the
+    operator also uses the D-FACTS devices economically) or
+    ``"dispatch-only"`` (nominal reactances); anything else raises
+    :class:`~repro.exceptions.ConfigurationError`.
 
     Notes
     -----

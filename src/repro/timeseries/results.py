@@ -2,11 +2,9 @@
 
 Internally every operated hour is one
 :class:`~repro.engine.results.TrialResult` (flat float metrics), which is
-what flows through the engine's cache, the campaign store and the query
-layer.  This module provides the typed view on top: an
-:class:`OperationRecord` per hour and an :class:`OperationResult` for the
-horizon, with the same accessors the historical
-:class:`~repro.mtd.scheduler.DailyOperationResult` exposed (load series,
+what flows through the engine, the campaign store and the query layer.
+This module provides the typed view on top: an :class:`OperationRecord`
+per hour and an :class:`OperationResult` for the horizon (load series,
 cost series, the three Fig. 11 subspace-angle series).
 """
 

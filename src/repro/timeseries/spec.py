@@ -10,8 +10,8 @@ warm-up behaviour for the first hours, threshold-tuning strategy and RNG
 scheme — as a frozen value object that embeds into a
 :class:`~repro.engine.spec.ScenarioSpec` (field ``operation``), so
 daily-operation runs get the engine/campaign stack for free: JSON
-round-trip, content hashing, result caching, process-pool parallelism over
-hours, sharded stores and resumable campaigns.
+round-trip, content hashing, process-pool parallelism over hours, and
+hash-addressed storage in sharded, resumable campaign stores.
 
 The component specs are deliberately free of engine imports: this module is
 a leaf the scenario spec layer builds on.
@@ -28,8 +28,8 @@ from typing import Any, Mapping
 from repro.exceptions import ConfigurationError
 from repro.loads.profiles import available_shapes, multi_day_profile
 
-#: Default SPA-threshold tuning grid (radians): the daily scheduler's
-#: historical ``np.arange(0.05, 0.50, 0.05)``.
+#: Default SPA-threshold tuning grid (radians): the historical daily
+#: operation loop's ``np.arange(0.05, 0.50, 0.05)``.
 DEFAULT_GAMMA_GRID = tuple(round(0.05 * k, 2) for k in range(1, 10))
 
 
@@ -60,8 +60,7 @@ class ProfileSpec:
         horizon (quick budgets, tests, CI smoke runs).
     explicit_totals_mw:
         Escape hatch: explicit hourly totals (MW) overriding everything
-        above — how the :class:`~repro.mtd.scheduler.DailyMTDScheduler`
-        compatibility wrapper feeds arbitrary traces through the engine.
+        above, for feeding an arbitrary load trace through the engine.
     """
 
     shape: str = "winter-weekday"
@@ -254,9 +253,9 @@ class OperationSpec:
         * ``"spawn"`` (default) — seed-spawned:
           ``SeedSequence(base_seed, spawn_key=(hour,))``, the engine
           convention making parallel hours bit-identical to serial ones.
-        * ``"legacy"`` — the historical scheduler scheme (evaluator seed
-          ``base_seed + hour``, design seed ``base_seed``); also
-          order-independent, kept for record-for-record compatibility.
+        * ``"legacy"`` — the historical serial loop's scheme (evaluator
+          seed ``base_seed + hour``, design seed ``base_seed``); also
+          order-independent, kept so its pinned records stay reproducible.
     carryover_tolerance:
         Reactance-OPF baselines keep the previous hour's D-FACTS settings
         unless re-optimising saves more than this relative amount (operator

@@ -163,6 +163,27 @@ class TestCliInProcess:
                      "--store", store]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_invalid_batch_size_leaves_no_store(self, tmp_path, capsys):
+        definition = CampaignDefinition(name="bad-batch", base=cli_base())
+        def_path = write_definition(tmp_path / "campaign.json", definition)
+        store = tmp_path / "s.campaign"
+        assert main(["campaign", "run", str(def_path),
+                     "--store", str(store), "--batch-size", "0"]) == 2
+        assert "batch_size must be at least 1" in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_rerun_of_complete_campaign_is_a_store_replay(self, tmp_path, capsys):
+        definition = CampaignDefinition(
+            name="replay", base=cli_base(), shard_size=1,
+            grids=({"attack.ratio": (0.06, 0.08)},),
+        )
+        def_path = str(write_definition(tmp_path / "campaign.json", definition))
+        store = str(tmp_path / "replay.campaign")
+        assert main(["campaign", "run", def_path, "--store", store]) == 0
+        assert "executed 2, skipped 0 already stored" in capsys.readouterr().out
+        assert main(["campaign", "run", def_path, "--store", store]) == 0
+        assert "executed 0, skipped 2 already stored" in capsys.readouterr().out
+
     def test_bad_set_syntax_is_an_error(self, tmp_path, capsys):
         definition = CampaignDefinition(name="bad", base=cli_base())
         def_path = write_definition(tmp_path / "campaign.json", definition)
@@ -248,14 +269,11 @@ class TestKillResume:
             capture_output=True, text=True, env=env, timeout=600,
         )
         assert resume.returncode == 0, resume.stderr
-        match = re.search(
-            r"executed (\d+), replayed (\d+) from cache, skipped (\d+)", resume.stdout
-        )
+        match = re.search(r"executed (\d+), skipped (\d+)", resume.stdout)
         assert match, resume.stdout
-        executed, replayed, skipped = map(int, match.groups())
+        executed, skipped = map(int, match.groups())
         assert skipped == completed_at_kill
         assert executed == self.N_POINTS - completed_at_kill
-        assert replayed == 0
 
         # The store now holds exactly the full plan, once each.
         store = CampaignStore(store_dir)
@@ -308,11 +326,10 @@ class TestContingencyCampaign:
         # Resume executes exactly the missing hashes — nothing twice.
         assert main(["campaign", "resume", "--store", store_path]) == 0
         out = capsys.readouterr().out
-        match = re.search(r"executed (\d+), replayed (\d+) from cache, skipped (\d+)", out)
+        match = re.search(r"executed (\d+), skipped (\d+)", out)
         assert match, out
-        executed, replayed, skipped = map(int, match.groups())
+        executed, skipped = map(int, match.groups())
         assert executed == len(missing)
-        assert replayed == 0
         assert skipped == len(completed)
         store = CampaignStore(store_path)
         assert store.completed_hashes() == set(plan.items)
@@ -422,14 +439,11 @@ class TestContingencyKillResume:
             capture_output=True, text=True, env=env, timeout=600,
         )
         assert resume.returncode == 0, resume.stderr
-        match = re.search(
-            r"executed (\d+), replayed (\d+) from cache, skipped (\d+)", resume.stdout
-        )
+        match = re.search(r"executed (\d+), skipped (\d+)", resume.stdout)
         assert match, resume.stdout
-        executed, replayed, skipped = map(int, match.groups())
+        executed, skipped = map(int, match.groups())
         assert skipped == completed_at_kill
         assert executed == self.N_POINTS - completed_at_kill
-        assert replayed == 0
 
         # The store holds exactly one result per screened outage.
         store = CampaignStore(store_dir)

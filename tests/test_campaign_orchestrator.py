@@ -1,4 +1,4 @@
-"""Tests of sharded campaign execution: resume accounting, cache interop,
+"""Tests of sharded campaign execution: resume accounting, option validation,
 parallel determinism, and the ≥100-point acceptance sweep over fig7."""
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.engine import (
     AttackSpec,
     GridSpec,
     MTDSpec,
-    ResultCache,
     ScenarioEngine,
     ScenarioSpec,
     scenario_suite,
@@ -130,32 +129,14 @@ class TestRunAndResume:
         with pytest.raises(ConfigurationError):
             CampaignOrchestrator(tmp_path / "fresh.campaign").resume()
 
-
-class TestResultCacheInterop:
-    def test_cached_scenarios_are_ingested_not_rerun(self, tmp_path):
-        """Scenarios already in a ResultCache replay into the store."""
-        definition = quick_definition()
-        plan = plan_campaign(definition)
-        cache = ResultCache(tmp_path / "cache")
-        engine = ScenarioEngine(cache=cache)
-        reference = {h: engine.run(s) for h, s in plan.items.items()}
-
-        report = run_campaign(definition, tmp_path / "c.campaign", cache=cache)
-        assert report.complete
-        assert report.executed == ()
-        assert set(report.from_cache) == set(plan.items)
-        store = CampaignOrchestrator(tmp_path / "c.campaign").store
-        for spec_hash, result in reference.items():
-            assert store.get(spec_hash).trials == result.trials
-
-    def test_executed_scenarios_feed_the_cache_back(self, tmp_path):
-        definition = quick_definition()
-        cache = ResultCache(tmp_path / "cache")
-        report = run_campaign(definition, tmp_path / "c.campaign", cache=cache)
-        assert len(report.executed) == 6
-        plan = plan_campaign(definition)
-        for spec in plan.items.values():
-            assert cache.get(spec) is not None
+    def test_invalid_batch_size_rejected_before_store_is_bound(self, tmp_path):
+        """A bad batch size is a configuration error raised before the
+        store is created or bound to the campaign's plan."""
+        store_dir = tmp_path / "c.campaign"
+        with pytest.raises(ConfigurationError, match="batch_size must be at least 1"):
+            CampaignOrchestrator(store_dir, batch_size=0).run(quick_definition())
+        assert not (store_dir / "campaign.json").exists()
+        assert not store_dir.exists()
 
 
 class TestParallelExecution:

@@ -1,4 +1,4 @@
-"""Tests of the scenario engine: specs, execution, caching, registry."""
+"""Tests of the scenario engine: specs, execution, store replay, registry."""
 
 from __future__ import annotations
 
@@ -9,12 +9,12 @@ import pytest
 
 from repro.analysis.montecarlo import summarize_values
 from repro.analysis.reporting import format_summaries
+from repro.campaign import CampaignDefinition, CampaignStore, query_results, run_campaign
 from repro.engine import (
     AttackSpec,
     DetectorSpec,
     GridSpec,
     MTDSpec,
-    ResultCache,
     ScenarioEngine,
     ScenarioResult,
     ScenarioSpec,
@@ -197,59 +197,6 @@ class TestEngineExecution:
         assert pooled.size == 4
 
 
-class TestResultCache:
-    def test_cache_miss_then_hit(self, tmp_path):
-        engine = ScenarioEngine(cache=tmp_path / "cache", n_workers=1)
-        spec = small_spec()
-        first = engine.run(spec)
-        assert not first.from_cache
-        assert engine.executed_trials == spec.n_trials
-        second = engine.run(spec)
-        assert second.from_cache
-        assert second.trials == first.trials
-        # The cache hit executed nothing.
-        assert engine.executed_trials == spec.n_trials
-        assert engine.cache.stats()["hits"] == 1
-        assert engine.cache.stats()["entries"] == 1
-
-    def test_cache_distinguishes_specs(self, tmp_path):
-        engine = ScenarioEngine(cache=tmp_path)
-        engine.run(small_spec())
-        other = engine.run(small_spec(base_seed=99))
-        assert not other.from_cache
-        assert len(engine.cache) == 2
-
-    def test_cache_shared_across_engines(self, tmp_path):
-        spec = small_spec()
-        ScenarioEngine(cache=tmp_path).run(spec)
-        replay = ScenarioEngine(cache=tmp_path).run(spec)
-        assert replay.from_cache
-
-    def test_use_cache_false_forces_execution(self, tmp_path):
-        engine = ScenarioEngine(cache=tmp_path)
-        spec = small_spec()
-        engine.run(spec)
-        fresh = engine.run(spec, use_cache=False)
-        assert not fresh.from_cache
-        assert engine.executed_trials == 2 * spec.n_trials
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = small_spec()
-        engine = ScenarioEngine(cache=cache)
-        engine.run(spec)
-        cache.path_for(spec).write_text("{not json")
-        assert cache.get(spec) is None
-        rerun = engine.run(spec)
-        assert not rerun.from_cache
-
-    def test_relabelled_spec_hits_same_entry(self, tmp_path):
-        engine = ScenarioEngine(cache=tmp_path)
-        engine.run(small_spec())
-        hit = engine.run(small_spec(name="renamed", description="same physics"))
-        assert hit.from_cache
-
-
 class TestPaperScenario:
     def test_designed_mtd_reproduces_effectiveness(self):
         """Engine-driven reproduction of the paper's core result: a designed
@@ -298,8 +245,8 @@ class TestPaperScenario:
 
 class TestMultiCaseSuite:
     """The acceptance scenario: >= 3 grid cases (incl. a >= 57-bus one)
-    through the engine with n_workers > 1, identical to serial, then served
-    from the cache."""
+    through the engine with n_workers > 1, identical to serial, then
+    persisted to a campaign store and replayed from it without executing."""
 
     def suite(self):
         return [
@@ -311,16 +258,19 @@ class TestMultiCaseSuite:
     def test_parallel_suite_matches_serial_and_caches(self, tmp_path):
         suite = self.suite()
         serial = ScenarioEngine(n_workers=1).run_suite(suite)
-        engine = ScenarioEngine(cache=tmp_path, n_workers=2)
-        parallel = engine.run_suite(suite)
+        parallel = ScenarioEngine(n_workers=2).run_suite(suite)
         assert all(s.trials == p.trials for s, p in zip(serial, parallel))
-        assert engine.executed_trials == sum(s.n_trials for s in suite)
 
-        replay = engine.run_suite(suite)
-        assert all(r.from_cache for r in replay)
-        assert all(r.trials == p.trials for r, p in zip(replay, parallel))
-        # No additional trials ran on the replay.
-        assert engine.executed_trials == sum(s.n_trials for s in suite)
+        definition = CampaignDefinition(name="suite", points=tuple(suite))
+        first = run_campaign(definition, tmp_path / "suite.campaign")
+        assert len(first.executed) == len(suite)
+        replay = run_campaign(definition, tmp_path / "suite.campaign")
+        # No trial ran on the replay: every scenario came from the store.
+        assert replay.executed == ()
+        assert len(replay.skipped) == len(suite)
+        stored = query_results(CampaignStore(tmp_path / "suite.campaign"))
+        assert all(r.from_cache for r in stored)
+        assert [r.trials for r in stored] == [p.trials for p in parallel]
 
 
 class TestScenarioRegistry:

@@ -4,13 +4,10 @@ The headline contract (and the PR's acceptance criterion): batched trial
 execution is **bit-identical** to the serial per-trial path for the same
 seed, for every detector method and MTD policy, under any chunking, and
 with factorization caching active.  Also covers the ``batch_size`` knob's
-plumbing (spec field, hash exclusion, engine dispatch) and the
-``ResultCache`` corruption/eviction paths.
+plumbing (spec field, hash exclusion, engine dispatch).
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -18,7 +15,6 @@ from repro.engine import (
     AttackSpec,
     GridSpec,
     MTDSpec,
-    ResultCache,
     ScenarioEngine,
     ScenarioSpec,
     run_trial,
@@ -154,60 +150,6 @@ class TestBatchSizeKnob:
         serial = serial_trials(spec)
         result = ScenarioEngine().run(spec)
         assert [t.metrics for t in result.trials] == [t.metrics for t in serial]
-
-    def test_batched_and_serial_share_cache_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = small_spec()
-        ScenarioEngine(cache=cache, batch_size=2).run(spec)
-        hit = ScenarioEngine(cache=cache).run(spec.with_updates(batch_size=None))
-        assert hit.from_cache
-
-
-class TestResultCacheCorruption:
-    def test_truncated_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = small_spec(n_trials=2)
-        result = ScenarioEngine(cache=cache).run(spec)
-        path = cache.path_for(spec)
-        full = path.read_text()
-        path.write_text(full[: len(full) // 2])  # truncated mid-JSON
-        assert cache.get(spec) is None
-        assert cache.misses >= 1
-        # The engine transparently recomputes and heals the entry.
-        rerun = ScenarioEngine(cache=cache).run(spec)
-        assert not rerun.from_cache
-        assert [t.metrics for t in rerun.trials] == [t.metrics for t in result.trials]
-        assert cache.get(spec) is not None
-
-    def test_stale_spec_hash_collision_is_a_miss(self, tmp_path):
-        """An entry whose embedded hash disagrees with its filename is stale."""
-        cache = ResultCache(tmp_path)
-        spec = small_spec(n_trials=2)
-        other = small_spec(n_trials=3)
-        ScenarioEngine(cache=cache).run(other)
-        # Simulate a hash collision / schema drift: another spec's payload
-        # parked under this spec's filename.
-        payload = json.loads(cache.path_for(other).read_text())
-        cache.path_for(spec).write_text(json.dumps(payload))
-        assert cache.get(spec) is None
-
-    def test_entry_with_wrong_schema_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = small_spec(n_trials=2)
-        hash_ = spec.content_hash()
-        cache.path_for(spec).write_text(
-            json.dumps({"spec_hash": hash_, "trials": "not-a-list"})
-        )
-        assert cache.get(spec) is None
-
-    def test_clear_evicts_everything(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = small_spec(n_trials=2)
-        ScenarioEngine(cache=cache).run(spec)
-        assert len(cache) == 1
-        assert cache.clear() == 1
-        assert len(cache) == 0
-        assert cache.get(spec) is None
 
 
 class TestTelemetryNeutrality:

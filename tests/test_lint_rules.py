@@ -249,11 +249,10 @@ class TestUnsortedIteration:
         )
         assert len(result.findings) == 2
 
-    def test_fixed_result_cache_stays_clean(self):
-        # The motivating example: ResultCache.clear/__len__ iterated an
-        # unsorted glob before this rule existed.
+    def test_campaign_store_stays_clean(self):
+        # The store enumerates its segment files with a sorted glob.
         result = lint_paths(
-            [REPO_ROOT / "src" / "repro" / "engine" / "cache.py"],
+            [REPO_ROOT / "src" / "repro" / "campaign" / "store.py"],
             rule_ids=["unsorted-iteration"],
         )
         assert result.findings == []

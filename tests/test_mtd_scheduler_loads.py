@@ -1,17 +1,43 @@
-"""Tests for the daily MTD scheduler and the load profiles."""
+"""Tests for daily MTD operation through the operation engine and the
+load profiles."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, MTDDesignError
+from repro.exceptions import ConfigurationError
 from repro.loads.profiles import (
     hourly_loads_for_network,
     nyiso_like_winter_day,
     scale_profile_to_band,
 )
-from repro.mtd.scheduler import DailyMTDScheduler
+from repro.timeseries import (
+    OperationEngine,
+    ProfileSpec,
+    TuningSpec,
+    daily_operation_spec,
+)
+
+
+def operated_day(totals_mw, gamma_grid, **overrides):
+    """Operate ieee14 over an explicit load trace with the historical
+    daily-operation settings: linear threshold scan and per-hour seeds
+    ``(seed + hour, seed)``."""
+    spec = daily_operation_spec(
+        case="ieee14",
+        profile=ProfileSpec(
+            explicit_totals_mw=tuple(float(v) for v in totals_mw),
+            peak_load_mw=None,
+            min_load_mw=None,
+        ),
+        tuning=TuningSpec(
+            method="scan", gamma_grid=tuple(float(g) for g in gamma_grid)
+        ),
+        rng="legacy",
+        **overrides,
+    )
+    return OperationEngine().run(spec)
 
 
 class TestLoadProfiles:
@@ -72,18 +98,16 @@ class TestLoadProfiles:
 
 class TestDailyScheduler:
     @pytest.fixture(scope="class")
-    def short_run(self, net14):
+    def short_run(self):
         """A three-hour run shared by the assertions below.  Consecutive
         hourly loads differ by a few percent, as in a real trace, so the
         temporal-correlation property of Fig. 11 applies."""
-        scheduler = DailyMTDScheduler(
-            net14,
-            hourly_total_loads_mw=[205.0, 212.0, 220.0],
-            n_attacks=80,
+        return operated_day(
+            [205.0, 212.0, 220.0],
             gamma_grid=np.arange(0.05, 0.45, 0.1),
+            n_attacks=80,
             seed=0,
         )
-        return scheduler.run()
 
     def test_one_record_per_hour(self, short_run):
         assert len(short_run) == 3
@@ -128,25 +152,17 @@ class TestDailyScheduler:
         for record in short_run:
             assert 0.0 <= record.achieved_eta <= 1.0
 
-    def test_empty_profile_rejected(self, net14):
-        with pytest.raises(MTDDesignError):
-            DailyMTDScheduler(net14, hourly_total_loads_mw=[])
+    def test_spec_helper_rejects_unknown_baseline_mode(self):
+        with pytest.raises(ConfigurationError, match="cost_baseline"):
+            daily_operation_spec(case="ieee14", cost_baseline="bogus")
 
-    def test_invalid_baseline_mode_rejected(self, net14):
-        with pytest.raises(MTDDesignError):
-            DailyMTDScheduler(
-                net14, hourly_total_loads_mw=[150.0], cost_baseline="bogus"
-            )
-
-    def test_dispatch_only_baseline_runs(self, net14):
-        scheduler = DailyMTDScheduler(
-            net14,
-            hourly_total_loads_mw=[180.0],
-            n_attacks=40,
+    def test_dispatch_only_baseline_runs(self):
+        result = operated_day(
+            [180.0],
             gamma_grid=[0.1, 0.2],
+            n_attacks=40,
             cost_baseline="dispatch-only",
             seed=1,
         )
-        result = scheduler.run()
         assert len(result) == 1
         assert result.records[0].cost_increase_percent >= 0.0

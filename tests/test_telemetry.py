@@ -373,13 +373,13 @@ class TestEngineIntegration:
     def test_scenario_result_excludes_telemetry_from_payload(self):
         spec = small_spec(n_trials=2)
         telemetry.enable()
-        result = ScenarioEngine().run(spec, use_cache=False)
+        result = ScenarioEngine().run(spec)
         assert result.telemetry is not None
         assert result.telemetry["counters"]["engine.trials"] == 2
         assert "telemetry" not in result.to_dict()
 
     def test_telemetry_off_leaves_result_field_none(self):
-        result = ScenarioEngine().run(small_spec(n_trials=2), use_cache=False)
+        result = ScenarioEngine().run(small_spec(n_trials=2))
         assert result.telemetry is None
 
     def test_batch_return_snapshot(self):
@@ -396,11 +396,9 @@ class TestEngineIntegration:
         """Cross-process merge: pooled totals == serial totals, exactly."""
         spec = small_spec()
         telemetry.enable()
-        serial = ScenarioEngine().run(spec, use_cache=False)
-        pooled = ScenarioEngine(n_workers=2).run(spec, use_cache=False)
-        pooled_batched = ScenarioEngine(n_workers=2, batch_size=2).run(
-            spec, use_cache=False
-        )
+        serial = ScenarioEngine().run(spec)
+        pooled = ScenarioEngine(n_workers=2).run(spec)
+        pooled_batched = ScenarioEngine(n_workers=2, batch_size=2).run(spec)
         assert [t.metrics for t in pooled.trials] == [t.metrics for t in serial.trials]
         assert [t.metrics for t in pooled_batched.trials] == [
             t.metrics for t in serial.trials
@@ -422,7 +420,7 @@ class TestEngineIntegration:
         """The acceptance check: worker-side cache hits reach the parent."""
         spec = small_spec(mtd=MTDSpec(policy="none"), n_trials=4)
         telemetry.enable()
-        result = ScenarioEngine(n_workers=2, batch_size=2).run(spec, use_cache=False)
+        result = ScenarioEngine(n_workers=2, batch_size=2).run(spec)
         counters = result.telemetry["counters"]
         # 'none' policy evaluates one perturbation per batch: the second
         # trial of each batch hits the worker-side linear-model memo.
@@ -450,7 +448,7 @@ class TestCampaignIntegration:
         payload = telemetry.read_report(tmp_path / "store")
         assert payload is not None
         assert payload == report.telemetry
-        assert payload["partition"] == {"executed": 2, "from_cache": 0, "skipped": 0}
+        assert payload["partition"] == {"executed": 2, "skipped": 0}
         assert payload["throughput"]["trials_executed"] == 4
         assert payload["shards"]["wall_seconds"].keys() == {"0", "1"}
         assert payload["metrics"]["counters"]["engine.trials"] == 4

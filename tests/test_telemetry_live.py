@@ -267,12 +267,12 @@ class TestAnalyzeProgress:
     def test_run_done_marks_complete_and_partition(self):
         events = self.run_events() + [
             _event("shard_done", 5.0, shard=0, done=4, total=4),
-            _event("run_done", 5.1, executed=8, from_cache=0, skipped=2,
+            _event("run_done", 5.1, executed=8, skipped=2,
                    complete=True),
         ]
         view = self.analyze(events, now=1000.0)
         assert view.run_complete and view.complete
-        assert view.partition == {"executed": 8, "from_cache": 0, "skipped": 2}
+        assert view.partition == {"executed": 8, "skipped": 2}
         assert view.completed == 10
         assert view.shards[0].state == "done"
         assert not view.stalled_shards  # done shards never stall
@@ -280,7 +280,7 @@ class TestAnalyzeProgress:
     def test_checkpointed_run_done_is_not_campaign_complete(self):
         events = self.run_events() + [
             _event("shard_done", 5.0, shard=0, done=4, total=4),
-            _event("run_done", 5.1, executed=4, from_cache=0, skipped=2,
+            _event("run_done", 5.1, executed=4, skipped=2,
                    complete=False),
         ]
         view = self.analyze(events, now=1000.0)

@@ -1,10 +1,10 @@
 """Tests of the time-series operation engine.
 
 Covers the spec layer (profiles, tuning, operation components, JSON/hash),
-the engine (golden compatibility with the pre-refactor scheduler, wrapper
-equivalence, scan-vs-bisect agreement, parallel/batched/cached
-bit-identity, warm-up and staleness policies) and the campaign integration
-(daily-operation suites run, resume and query through the store).
+the engine (golden compatibility with the pre-refactor serial scheduler
+loop, scan-vs-bisect agreement, parallel/batched bit-identity, warm-up and
+staleness policies) and the campaign integration (daily-operation suites
+run, resume and query through the store).
 """
 
 from __future__ import annotations
@@ -14,16 +14,15 @@ import pytest
 
 from repro.campaign import CampaignOrchestrator, query_results
 from repro.campaign.suites import campaign_from_suite
-from repro.engine import ResultCache, ScenarioEngine, ScenarioSpec, scenario_suite
+from repro.engine import ScenarioEngine, ScenarioSpec, scenario_suite
 from repro.engine.trial import run_trial
-from repro.exceptions import ConfigurationError, MTDDesignError
+from repro.exceptions import ConfigurationError
 from repro.loads.profiles import (
     available_shapes,
     day_shape,
     multi_day_profile,
     profile_for_network,
 )
-from repro.mtd.scheduler import DailyMTDScheduler
 from repro.timeseries import (
     OperationEngine,
     OperationResult,
@@ -38,7 +37,7 @@ from repro.timeseries import (
 #: before it became a wrapper): IEEE 14-bus, loads [205, 212, 220] MW,
 #: n_attacks=80, gamma_grid=arange(0.05, 0.45, 0.1), seed=0, historical
 #: hour-0 behaviour (fresh attacker knowledge).  The engine must reproduce
-#: these records bit-for-bit at the same settings.
+#: these records bit-for-bit at the same settings (``GOLDEN_SPEC``).
 GOLDEN_RECORDS = [
     {
         "hour": 0,
@@ -78,10 +77,21 @@ GOLDEN_RECORDS = [
     },
 ]
 
-GOLDEN_KWARGS = dict(
-    hourly_total_loads_mw=[205.0, 212.0, 220.0],
+GOLDEN_SPEC = daily_operation_spec(
+    name="ts-golden",
+    case="ieee14",
+    profile=ProfileSpec(
+        explicit_totals_mw=(205.0, 212.0, 220.0),
+        peak_load_mw=None,
+        min_load_mw=None,
+    ),
+    tuning=TuningSpec(
+        method="scan",
+        gamma_grid=tuple(float(g) for g in np.arange(0.05, 0.45, 0.1)),
+    ),
+    warmup="fresh",
+    rng="legacy",
     n_attacks=80,
-    gamma_grid=np.arange(0.05, 0.45, 0.1),
     seed=0,
 )
 
@@ -254,77 +264,15 @@ class TestOperationSpecLayer:
 # engine: compatibility and determinism
 # ----------------------------------------------------------------------
 class TestGoldenCompatibility:
-    def test_wrapper_reproduces_pre_refactor_records(self, net14):
-        """The wrapper (historical settings) is bit-identical to the
+    def test_wrapper_reproduces_pre_refactor_records(self):
+        """The engine at the historical settings (linear scan, legacy
+        per-hour seeds, fresh hour-0 knowledge) is bit-identical to the
         pre-refactor serial scheduler loop."""
-        result = DailyMTDScheduler(net14, warmup="fresh", **GOLDEN_KWARGS).run()
+        result = OperationEngine().run(GOLDEN_SPEC)
         assert len(result) == len(GOLDEN_RECORDS)
         for record, expected in zip(result, GOLDEN_RECORDS):
             for field_name, value in expected.items():
                 assert getattr(record, field_name) == value, field_name
-
-
-class TestWrapperEquivalence:
-    def test_wrapper_matches_engine_record_for_record(self, net14):
-        """`DailyMTDScheduler` and the operation engine agree record for
-        record on the same spec (the wrapper is a faithful shim)."""
-        scheduler = DailyMTDScheduler(
-            net14,
-            hourly_total_loads_mw=[205.0, 220.0],
-            n_attacks=24,
-            gamma_grid=[0.05, 0.2],
-            seed=3,
-        )
-        wrapped = scheduler.run()
-        # An independently constructed registry spec with the wrapper's
-        # settings: the spec-driven engine path must reproduce the wrapper
-        # (whose own spec carries a fail-fast placeholder case) exactly.
-        spec = daily_operation_spec(
-            name="ts-wrapper-equivalent",
-            case="ieee14",
-            cost_baseline="reactance-opf",
-            profile=ProfileSpec(
-                explicit_totals_mw=(205.0, 220.0),
-                peak_load_mw=None,
-                min_load_mw=None,
-            ),
-            tuning=TuningSpec(method="scan", gamma_grid=(0.05, 0.2)),
-            rng="legacy",
-            n_attacks=24,
-            seed=3,
-        )
-        engine_result = OperationEngine().run(spec, use_cache=False)
-        assert len(wrapped) == len(engine_result) == 2
-        for ours, theirs in zip(wrapped, engine_result):
-            assert ours.hour == theirs.hour
-            assert ours.total_load_mw == theirs.total_load_mw
-            assert ours.baseline_cost == theirs.baseline_cost
-            assert ours.mtd_cost == theirs.mtd_cost
-            assert ours.cost_increase_percent == theirs.cost_increase_percent
-            assert ours.gamma_threshold == theirs.gamma_threshold
-            assert ours.achieved_eta == theirs.achieved_eta
-            assert ours.spa_attacker_vs_baseline == theirs.spa_attacker_vs_baseline
-            assert ours.spa_attacker_vs_mtd == theirs.spa_attacker_vs_mtd
-            assert ours.spa_baseline_vs_mtd == theirs.spa_baseline_vs_mtd
-
-    def test_wrapper_input_validation(self, net14):
-        with pytest.raises(MTDDesignError):
-            DailyMTDScheduler(net14, hourly_total_loads_mw=[])
-        with pytest.raises(MTDDesignError):
-            DailyMTDScheduler(net14, hourly_total_loads_mw=[150.0], cost_baseline="bogus")
-
-    def test_wrapper_spec_fails_fast_outside_the_wrapper(self, net14):
-        """The wrapper's spec names a placeholder case, so executing it
-        without the wrapper's network errors instead of silently simulating
-        a registry case."""
-        from repro.exceptions import CaseNotFoundError
-
-        scheduler = DailyMTDScheduler(
-            net14, hourly_total_loads_mw=[200.0], n_attacks=8, gamma_grid=[0.05]
-        )
-        assert scheduler.spec.grid.case == "daily-scheduler-network"
-        with pytest.raises(CaseNotFoundError):
-            OperationEngine().run(scheduler.spec, use_cache=False)
 
 
 class TestScanVsBisect:
@@ -337,8 +285,8 @@ class TestScanVsBisect:
         scan = base.with_updates({"operation.tuning.method": "scan"})
         bisect = base.with_updates({"operation.tuning.method": "bisect"})
         engine = ScenarioEngine()
-        scan_result = OperationResult.from_scenario(engine.run(scan, use_cache=False))
-        bisect_result = OperationResult.from_scenario(engine.run(bisect, use_cache=False))
+        scan_result = OperationResult.from_scenario(engine.run(scan))
+        bisect_result = OperationResult.from_scenario(engine.run(bisect))
         for a, b in zip(scan_result, bisect_result):
             assert a.gamma_threshold == b.gamma_threshold
             assert a.cost_increase_percent == b.cost_increase_percent
@@ -365,27 +313,16 @@ class TestParallelBatchCache:
             tuning=TuningSpec(gamma_grid=(0.05, 0.2)),
         )
         engine = ScenarioEngine()
-        serial = engine.run(spec, use_cache=False)
-        parallel = engine.run(spec, n_workers=2, use_cache=False)
+        serial = engine.run(spec)
+        parallel = engine.run(spec, n_workers=2)
         assert serial.trials == parallel.trials
 
     def test_batched_hours_bit_identical(self):
         spec = tiny_spec(name="ts-batch")
         engine = ScenarioEngine()
-        serial = engine.run(spec, use_cache=False)
-        batched = engine.run(spec, use_cache=False, batch_size=2)
+        serial = engine.run(spec)
+        batched = engine.run(spec, batch_size=2)
         assert serial.trials == batched.trials
-
-    def test_result_cache_replays_operation_runs(self, tmp_path):
-        spec = tiny_spec(name="ts-cache")
-        engine = ScenarioEngine(cache=ResultCache(tmp_path / "cache"))
-        first = engine.run(spec)
-        replay = engine.run(spec)
-        assert replay.from_cache
-        assert replay.trials == first.trials
-        # The typed view rebuilds losslessly from the cached payload.
-        records = OperationResult.from_scenario(replay).records
-        assert [r.hour for r in records] == [0, 1, 2]
 
     def test_run_trial_dispatch_and_bounds(self):
         spec = tiny_spec(name="ts-dispatch")
