@@ -323,7 +323,7 @@ def _apply_policy(
         )
         perturbation = sampler.draw_perturbation(seed=rng)
         spa = subspace_angle(
-            evaluator.attacker_matrix, perturbation.post_measurement_matrix()
+            evaluator.attacker_subspace, perturbation.post_measurement_matrix()
         )
         return perturbation.perturbed_reactances, float(spa)
     raise ConfigurationError(f"unknown MTD policy {mtd.policy!r}")

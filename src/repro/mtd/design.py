@@ -27,7 +27,7 @@ Two solution strategies are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 import scipy.linalg
@@ -37,11 +37,10 @@ from repro.exceptions import MTDDesignError, OPFConvergenceError, OPFInfeasibleE
 from repro.grid.matrices import reduced_measurement_matrix
 from repro.grid.network import PowerNetwork
 from repro.mtd.perturbation import ReactancePerturbation
-from repro.mtd.subspace import subspace_angle
+from repro.mtd.subspace import AttackerSubspace, subspace_angle
 from repro.opf.dc_opf import solve_dc_opf
 from repro.opf.reactance_opf import ReactanceConstraint, solve_reactance_opf
 from repro.opf.result import OPFResult
-from repro.utils.linalg import orthonormal_basis
 from repro.utils.rng import as_generator
 
 DesignMethod = Literal["joint", "two-stage", "max-spa"]
@@ -141,17 +140,40 @@ class MTDDesignResult:
 
 def spa_of_reactances(
     network: PowerNetwork,
-    attacker_matrix: np.ndarray,
+    attacker_matrix: np.ndarray | AttackerSubspace,
     reactances: np.ndarray,
 ) -> float:
     """``γ(H_t, H(x))`` for a candidate reactance vector ``x``.
 
     Uses the operational subspace-angle metric (see
     :func:`repro.mtd.subspace.subspace_angle` for why this is the largest
-    principal angle).
+    principal angle).  ``attacker_matrix`` may be a prepared
+    :class:`~repro.mtd.subspace.AttackerSubspace` of ``H_t``.
     """
     candidate = reduced_measurement_matrix(network, np.asarray(reactances, dtype=float))
     return subspace_angle(attacker_matrix, candidate)
+
+
+SPAFunction = Callable[[np.ndarray], float]
+
+
+def _memoized_spa(
+    network: PowerNetwork, attacker: AttackerSubspace, memo: dict[bytes, float]
+) -> SPAFunction:
+    """``x ↦ γ(H_t, H(x))`` over full reactance vectors, memoised on ``x``'s bytes.
+
+    The SPA is a pure function of ``x`` for a fixed attacker, so a memo hit
+    is bit-identical to recomputing.
+    """
+
+    def spa_of_full(x_full: np.ndarray) -> float:
+        key = x_full.tobytes()
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = spa_of_reactances(network, attacker, x_full)
+        return value
+
+    return spa_of_full
 
 
 def spa_gradient(
@@ -263,7 +285,6 @@ def design_mtd_perturbation(
         raise MTDDesignError("the network has no D-FACTS devices; MTD is impossible")
 
     base_x = network.reactances() if attacker_reactances is None else np.asarray(attacker_reactances, dtype=float)
-    attacker_matrix = reduced_measurement_matrix(network, base_x)
     loads = network.loads_mw() if loads_mw is None else np.asarray(loads_mw, dtype=float)
     preferred = None if preferred_reactances is None else np.asarray(preferred_reactances, dtype=float)
 
@@ -276,8 +297,10 @@ def design_mtd_perturbation(
             context=context,
         )
 
+    attacker = AttackerSubspace(reduced_measurement_matrix(network, base_x))
+    spa_of_full = _memoized_spa(network, attacker, {} if context is None else context.spa)
     two_stage = _two_stage_design(
-        network, attacker_matrix, base_x, loads, gamma_threshold,
+        network, spa_of_full, base_x, loads, gamma_threshold,
         preferred=preferred, seed=seed, context=context,
     )
     if method == "two-stage":
@@ -285,7 +308,8 @@ def design_mtd_perturbation(
 
     return _joint_design(
         network,
-        attacker_matrix,
+        attacker,
+        spa_of_full,
         base_x,
         loads,
         gamma_threshold,
@@ -323,11 +347,12 @@ def max_spa_perturbation(
     if not network.dfacts_branches:
         raise MTDDesignError("the network has no D-FACTS devices; MTD is impossible")
     base_x = network.reactances() if attacker_reactances is None else np.asarray(attacker_reactances, dtype=float)
-    attacker_matrix = reduced_measurement_matrix(network, base_x)
+    attacker = AttackerSubspace(reduced_measurement_matrix(network, base_x))
+    spa_of_full = _memoized_spa(network, attacker, {} if context is None else context.spa)
     loads = network.loads_mw() if loads_mw is None else np.asarray(loads_mw, dtype=float)
 
     best_x, best_spa = _maximize_spa_memoized(
-        network, attacker_matrix, base_x, n_starts=n_starts, seed=seed, context=context
+        network, spa_of_full, base_x, n_starts=n_starts, seed=seed, context=context
     )
     try:
         opf = _dispatch_for(network, best_x, loads)
@@ -387,7 +412,7 @@ _MAX_ENUMERATED_DFACTS: int = 8
 
 def _maximize_spa(
     network: PowerNetwork,
-    attacker_matrix: np.ndarray,
+    spa_of_full: SPAFunction,
     base_x: np.ndarray,
     n_starts: int,
     seed: int | np.random.Generator | None,
@@ -398,13 +423,13 @@ def _maximize_spa(
     (the further every perturbable reactance moves, the further the column
     space rotates), so the search enumerates corners when that is cheap and
     polishes the best candidates with a bounded quasi-Newton method.
+    ``spa_of_full`` evaluates the SPA of a full reactance vector.
     """
     indices, lower, upper = _dfacts_box(network)
     rng = as_generator(seed)
 
     def spa_of(x_d: np.ndarray) -> float:
-        full = _expand(network, base_x, np.clip(x_d, lower, upper))
-        return spa_of_reactances(network, attacker_matrix, full)
+        return spa_of_full(_expand(network, base_x, np.clip(x_d, lower, upper)))
 
     def negative_spa(x_d: np.ndarray) -> float:
         return -spa_of(x_d)
@@ -443,12 +468,12 @@ def _maximize_spa(
             best_value = float(result.fun)
             best_x_d = np.clip(np.asarray(result.x, dtype=float), lower, upper)
     best_full = _expand(network, base_x, best_x_d)
-    return best_full, spa_of_reactances(network, attacker_matrix, best_full)
+    return best_full, spa_of_full(best_full)
 
 
 def _maximize_spa_memoized(
     network: PowerNetwork,
-    attacker_matrix: np.ndarray,
+    spa_of_full: SPAFunction,
     base_x: np.ndarray,
     n_starts: int,
     seed: int | np.random.Generator | None,
@@ -456,11 +481,11 @@ def _maximize_spa_memoized(
 ) -> tuple[np.ndarray, float]:
     """:func:`_maximize_spa` with context reuse when it is provably RNG-free."""
     if context is None or not DesignContext.reuse_max_spa_safe(network, n_starts):
-        return _maximize_spa(network, attacker_matrix, base_x, n_starts=n_starts, seed=seed)
+        return _maximize_spa(network, spa_of_full, base_x, n_starts=n_starts, seed=seed)
     key = (base_x.tobytes(), int(n_starts))
     hit = context.max_spa.get(key)
     if hit is None:
-        hit = _maximize_spa(network, attacker_matrix, base_x, n_starts=n_starts, seed=seed)
+        hit = _maximize_spa(network, spa_of_full, base_x, n_starts=n_starts, seed=seed)
         context.max_spa[key] = hit
         context.trim()
     return hit[0].copy(), hit[1]
@@ -473,7 +498,7 @@ _TWO_STAGE_DIRECTIONS: int = 12
 
 def _two_stage_design(
     network: PowerNetwork,
-    attacker_matrix: np.ndarray,
+    spa_of_full: SPAFunction,
     base_x: np.ndarray,
     loads: np.ndarray,
     gamma_threshold: float,
@@ -498,28 +523,13 @@ def _two_stage_design(
     rng = as_generator(seed)
 
     max_x, max_spa = _maximize_spa_memoized(
-        network, attacker_matrix, base_x, n_starts=6, seed=rng, context=context
+        network, spa_of_full, base_x, n_starts=6, seed=rng, context=context
     )
     if max_spa + 1e-9 < gamma_threshold:
         raise MTDDesignError(
             f"the D-FACTS range cannot achieve γ_th={gamma_threshold:.3f} rad "
             f"(maximum achievable SPA is {max_spa:.3f} rad)"
         )
-
-    if context is None:
-
-        def spa_of_full(x_full: np.ndarray) -> float:
-            return spa_of_reactances(network, attacker_matrix, x_full)
-
-    else:
-
-        def spa_of_full(x_full: np.ndarray) -> float:
-            key = x_full.tobytes()
-            value = context.spa.get(key)
-            if value is None:
-                value = spa_of_reactances(network, attacker_matrix, x_full)
-                context.spa[key] = value
-            return value
 
     # Candidate far points: the continuous maximiser plus box corners ranked
     # by their SPA (only corners that can meet the threshold are useful).
@@ -608,7 +618,7 @@ def _backtrack_to_threshold(
     base_x: np.ndarray,
     far_x: np.ndarray,
     gamma_threshold: float,
-    spa_of_full,
+    spa_of_full: SPAFunction,
 ) -> tuple[np.ndarray, float, float]:
     """Smallest step along ``base → far`` whose SPA meets the threshold.
 
@@ -640,7 +650,8 @@ def _backtrack_to_threshold(
 
 def _joint_design(
     network: PowerNetwork,
-    attacker_matrix: np.ndarray,
+    attacker: AttackerSubspace,
+    spa_of_full: SPAFunction,
     base_x: np.ndarray,
     loads: np.ndarray,
     gamma_threshold: float,
@@ -651,14 +662,14 @@ def _joint_design(
 ) -> MTDDesignResult:
     """The SPA-constrained OPF of eq. (4) via SLSQP + MultiStart.
 
-    The SPA constraint carries its exact gradient (:func:`spa_gradient`);
-    its values stay on :func:`subspace_angle`, so every reported SPA is the
-    same metric the rest of the library uses.
+    The SPA constraint carries its exact gradient (:func:`spa_gradient`,
+    on the attacker basis ``attacker`` already holds); its values stay on
+    :func:`subspace_angle`, so every reported SPA is the same metric the
+    rest of the library uses.
     """
-    attacker_basis = orthonormal_basis(attacker_matrix)
     spa_constraint = ReactanceConstraint(
-        value=lambda x: spa_of_reactances(network, attacker_matrix, x) - gamma_threshold,
-        gradient=lambda x: spa_gradient(network, attacker_basis, x),
+        value=lambda x: spa_of_full(x) - gamma_threshold,
+        gradient=lambda x: spa_gradient(network, attacker.basis, x),
     )
 
     try:
@@ -674,7 +685,7 @@ def _joint_design(
         # Fall back to the (feasible but possibly sub-optimal) two-stage design.
         return warm_start
 
-    achieved = spa_of_reactances(network, attacker_matrix, opf.reactances)
+    achieved = spa_of_full(opf.reactances)
     if achieved + 1e-6 < gamma_threshold or opf.cost > warm_start.cost + 1e-6:
         # The local solver either drifted below the SPA target or ended in a
         # worse local optimum than the heuristic; keep the better design.

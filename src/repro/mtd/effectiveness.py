@@ -28,6 +28,7 @@ from repro.estimation.linear_model import LinearModel, LinearModelCache
 from repro.estimation.measurement import DEFAULT_NOISE_SIGMA, MeasurementSystem
 from repro.exceptions import ConfigurationError
 from repro.grid.network import PowerNetwork
+from repro.mtd.subspace import AttackerSubspace
 from repro.utils.rng import as_generator
 
 DetectionMethod = Literal["analytic", "monte-carlo"]
@@ -168,6 +169,7 @@ class EffectivenessEvaluator:
         self._analytic_memo = LinearModelCache(
             maxsize=_ANALYTIC_MEMO_MAXSIZE, telemetry_name="analytic_memo"
         )
+        self._attacker_subspace: AttackerSubspace | None = None
         reference_z = self._pre_system.noiseless_measurements(self._angles)
         self._ensemble = generate_attack_ensemble(
             measurement_matrix=self._pre_system.matrix(),
@@ -187,6 +189,13 @@ class EffectivenessEvaluator:
     def attacker_matrix(self) -> np.ndarray:
         """The attacker's (pre-perturbation) measurement matrix ``H``."""
         return self._pre_system.matrix()
+
+    @property
+    def attacker_subspace(self) -> AttackerSubspace:
+        """``Col(H)`` of :attr:`attacker_matrix`, prepared once for SPA evaluations."""
+        if self._attacker_subspace is None:
+            self._attacker_subspace = AttackerSubspace(self.attacker_matrix)
+        return self._attacker_subspace
 
     @property
     def base_reactances(self) -> np.ndarray:

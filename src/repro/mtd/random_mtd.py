@@ -124,7 +124,7 @@ class RandomMTDBaseline:
         """Evaluate one perturbation against the shared attack ensemble."""
         effectiveness = self._evaluator.evaluate(perturbation.perturbed_reactances)
         spa = subspace_angle(
-            self._evaluator.attacker_matrix, perturbation.post_measurement_matrix()
+            self._evaluator.attacker_subspace, perturbation.post_measurement_matrix()
         )
         return RandomMTDSample(
             perturbation=perturbation, effectiveness=effectiveness, spa=spa

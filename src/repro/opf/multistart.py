@@ -11,14 +11,33 @@ optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.optimize import NonlinearConstraint, minimize
+from scipy.optimize import minimize
 
 from repro.exceptions import OPFConvergenceError
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.config import _STATE as _TELEMETRY
+
+VectorFunction = Callable[[np.ndarray], np.ndarray]
+
+#: One constraint block: ``fun`` alone (the local solver finite-differences
+#: it) or a ``(fun, jac)`` pair with ``jac(z)`` of shape ``(m, n)``.
+ConstraintBlock = Union[VectorFunction, tuple[VectorFunction, VectorFunction]]
+
+
+def _as_blocks(
+    spec: ConstraintBlock | Sequence[ConstraintBlock] | None,
+) -> list[tuple[VectorFunction, VectorFunction | None]]:
+    """Normalise a constraint argument into ``(fun, jac or None)`` blocks."""
+    if spec is None:
+        return []
+    if callable(spec):
+        return [(spec, None)]
+    if isinstance(spec, tuple) and len(spec) == 2 and all(callable(part) for part in spec):
+        return [(spec[0], spec[1])]
+    return [block for item in spec for block in _as_blocks(item)]
 
 
 @dataclass
@@ -87,17 +106,17 @@ class MultiStartOptimizer:
     bounds:
         Sequence of ``(low, high)`` pairs, one per decision variable.
     equality_constraints:
-        Callable returning a vector that must equal zero at feasible points
-        (or ``None``).
+        Constraint values that must equal zero at feasible points (or
+        ``None``): a callable, a ``(fun, jac)`` pair, or a list of these.
     inequality_constraints:
-        Callable returning a vector that must be **non-negative** at feasible
-        points (or ``None``), matching scipy's SLSQP convention.  Its
-        Jacobian, like the equality constraints', is finite-differenced by
-        the local solver.
-    inequality_with_jacobian:
-        Optional ``(fun, jac)`` pair: a further block of inequality
-        constraints (non-negative when satisfied) with its exact Jacobian
-        ``jac(z)`` of shape ``(m, n)``, handed to the solver as its own block.
+        Constraint values that must be **non-negative** at feasible points
+        (or ``None``), matching scipy's SLSQP convention; given like
+        ``equality_constraints``.  A block without ``jac`` is
+        finite-differenced by the local solver; a block with one is handed
+        to it with its Jacobian of shape ``(m, n)``.
+    objective_gradient:
+        Optional gradient of ``objective``; finite-differenced by the local
+        solver when ``None``.
     max_iterations:
         Iteration cap for each local solve.
     tolerance:
@@ -108,19 +127,17 @@ class MultiStartOptimizer:
         self,
         objective: Callable[[np.ndarray], float],
         bounds: Sequence[tuple[float | None, float | None]],
-        equality_constraints: Callable[[np.ndarray], np.ndarray] | None = None,
-        inequality_constraints: Callable[[np.ndarray], np.ndarray] | None = None,
-        inequality_with_jacobian: tuple[
-            Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]
-        ] | None = None,
+        equality_constraints: ConstraintBlock | Sequence[ConstraintBlock] | None = None,
+        inequality_constraints: ConstraintBlock | Sequence[ConstraintBlock] | None = None,
+        objective_gradient: VectorFunction | None = None,
         max_iterations: int = 200,
         tolerance: float = 1e-8,
     ) -> None:
         self._objective = objective
+        self._gradient = objective_gradient
         self._bounds = list(bounds)
-        self._eq = equality_constraints
-        self._ineq = inequality_constraints
-        self._ineq_jac = inequality_with_jacobian
+        self._eq = _as_blocks(equality_constraints)
+        self._ineq = _as_blocks(inequality_constraints)
         self._max_iterations = int(max_iterations)
         self._tolerance = float(tolerance)
 
@@ -142,26 +159,25 @@ class MultiStartOptimizer:
 
     # ------------------------------------------------------------------
     def _solve_single(self, start: np.ndarray) -> LocalSolve:
-        constraints = []
-        if self._eq is not None:
-            constraints.append({"type": "eq", "fun": self._eq})
-        if self._ineq is not None:
-            constraints.append({"type": "ineq", "fun": self._ineq})
-        if self._ineq_jac is not None:
-            fun, jac = self._ineq_jac
-            constraints.append({"type": "ineq", "fun": fun, "jac": jac})
+        constraints = [
+            {"type": kind, "fun": fun, "jac": jac}
+            for kind, blocks in (("eq", self._eq), ("ineq", self._ineq))
+            for fun, jac in blocks
+        ]
         try:
             result = minimize(
                 self._objective,
                 start,
                 method="SLSQP",
+                jac=self._gradient,
                 bounds=self._bounds,
                 constraints=constraints,
                 options={"maxiter": self._max_iterations, "ftol": self._tolerance},
             )
         except (ValueError, np.linalg.LinAlgError) as exc:
-            # A start can push the finite-difference Jacobian into an invalid
-            # region (e.g. non-positive reactance just outside the bounds).
+            # A user callable can raise in an invalid region (e.g. the
+            # objective, a constraint or its derivative evaluated where the
+            # model is undefined); the start is recorded as failed.
             return LocalSolve(
                 x=start,
                 objective=float("inf"),
@@ -184,14 +200,11 @@ class MultiStartOptimizer:
 
     def _max_violation(self, x: np.ndarray) -> float:
         violation = 0.0
-        if self._eq is not None:
-            eq_values = np.atleast_1d(np.asarray(self._eq(x), dtype=float))
+        for eq, _ in self._eq:
+            eq_values = np.atleast_1d(np.asarray(eq(x), dtype=float))
             if eq_values.size:
                 violation = max(violation, float(np.max(np.abs(eq_values))))
-        inequalities = [] if self._ineq is None else [self._ineq]
-        if self._ineq_jac is not None:
-            inequalities.append(self._ineq_jac[0])
-        for ineq in inequalities:
+        for ineq, _ in self._ineq:
             ineq_values = np.atleast_1d(np.asarray(ineq(x), dtype=float))
             if ineq_values.size:
                 violation = max(violation, float(np.max(np.maximum(0.0, -ineq_values))))

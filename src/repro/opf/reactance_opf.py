@@ -10,9 +10,14 @@ The same machinery serves the MTD design problem of eq. (4): the caller adds
 extra inequality constraints that depend only on the full branch-reactance
 vector (e.g. the subspace-angle constraint ``γ(H_t, H'(x)) ≥ γ_th``).  Each
 comes with its exact gradient, and SLSQP receives them as their own
-constraint block with a Jacobian; the balance and flow constraints keep
-scipy's finite differences, so a problem without extra constraints (eq. (1))
-takes the same solver path whether or not the design machinery is in use.
+constraint block with a Jacobian.
+
+The objective gradient and the balance and flow Jacobians come from
+:meth:`ReactanceOPFProblem.derivatives`: forward differences by exactly the
+rule scipy's SLSQP applies when it is given no derivative (same steps, same
+bound handling, same arithmetic), so every iterate is bit-identical to
+scipy's own finite differences, but one structured pass reuses the
+assembled matrices instead of re-evaluating every block once per variable.
 """
 
 from __future__ import annotations
@@ -32,7 +37,12 @@ from repro.grid.matrices import (
 from repro.opf.dc_opf import solve_dc_opf
 from repro.opf.multistart import MultiStartOptimizer
 from repro.opf.result import OPFResult
+from repro.telemetry import metrics as _metrics
+from repro.telemetry.config import _STATE as _TELEMETRY
 from repro.utils.rng import as_generator
+
+#: scipy's default absolute finite-difference step for SLSQP, ``√eps``.
+_FD_STEP: float = float(np.finfo(float).eps) ** 0.5
 
 
 class ReactanceConstraint(NamedTuple):
@@ -108,7 +118,13 @@ class ReactanceOPFProblem:
         self._x_min, self._x_max = network.reactance_bounds()
         self._limits_pu = network.flow_limits_mw() / self._base
         self._finite_limits = np.isfinite(self._limits_pu)
+        self._has_limits = bool(np.any(self._finite_limits))
+        self._finite_limit_values = self._limits_pu[self._finite_limits]
         self._loads_pu = self.loads_mw / self._base
+        self._cost_weights = self._costs * self._base
+        self._lower, self._upper = np.array(self.bounds(), dtype=float).T
+        #: One-entry memo: the z bytes of the last derivative pass and its result.
+        self._derivative_memo: tuple[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
     # ------------------------------------------------------------------
     # Decision-vector layout helpers
@@ -148,7 +164,10 @@ class ReactanceOPFProblem:
     def objective(self, z: np.ndarray) -> float:
         """Generation cost in $ per hour (scaled to keep SLSQP well conditioned)."""
         g, _, _ = self.split(z)
-        return float(np.dot(self._costs * self._base, g)) * self._objective_scale
+        return self._scaled_cost(g)
+
+    def _scaled_cost(self, g: np.ndarray) -> float:
+        return float(np.dot(self._cost_weights, g)) * self._objective_scale
 
     #: Objective values around 1e4 $ are rescaled to O(10) for the SQP solver.
     _objective_scale: float = 1e-3
@@ -162,20 +181,135 @@ class ReactanceOPFProblem:
         g, theta_red, x_d = self.split(z)
         x = self.full_reactances(x_d)
         theta = self.full_angles(theta_red)
-        susceptance = (self._A * (1.0 / x)) @ self._A.T
-        return self._C @ g - self._loads_pu - susceptance @ theta
+        return self._C @ g - self._loads_pu - self._susceptance(x) @ theta
 
     def inequality_constraints(self, z: np.ndarray) -> np.ndarray:
         """Flow-limit constraints ``f^max ∓ f``, non-negative when satisfied."""
         _, theta_red, x_d = self.split(z)
         x = self.full_reactances(x_d)
         theta = self.full_angles(theta_red)
-        flows = (1.0 / x)[:, None] * self._A_T @ theta
-        if not np.any(self._finite_limits):
+        return self._flow_margins(self._flow_matrix(x) @ theta)
+
+    def _susceptance(self, x: np.ndarray) -> np.ndarray:
+        """``B(x) = A diag(1/x) Aᵀ``, assembled by broadcasting."""
+        return (self._A * (1.0 / x)) @ self._A.T
+
+    def _flow_matrix(self, x: np.ndarray) -> np.ndarray:
+        """``diag(1/x) Aᵀ``, so that the branch flows are ``flow_matrix @ θ``."""
+        return (1.0 / x)[:, None] * self._A_T
+
+    def _flow_margins(self, flows: np.ndarray) -> np.ndarray:
+        if not self._has_limits:
             return np.zeros(0)
-        limited = self._finite_limits
-        limits = self._limits_pu[limited]
-        return np.concatenate([limits - flows[limited], limits + flows[limited]])
+        limited = flows[self._finite_limits]
+        limits = self._finite_limit_values
+        return np.concatenate([limits - limited, limits + limited])
+
+    # ------------------------------------------------------------------
+    # Derivatives: scipy's 2-point rule, evaluated with structure
+    # ------------------------------------------------------------------
+    def derivatives(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Objective gradient, balance Jacobian and flow Jacobian in one pass.
+
+        Bit-identical to ``scipy.optimize.approx_derivative(f, z,
+        method="2-point", abs_step=√eps, bounds=self.bounds())`` for each of
+        :meth:`objective`, :meth:`equality_constraints` and
+        :meth:`inequality_constraints` — the derivatives SLSQP computes
+        itself when given none: ``z`` is clipped into the bounds, the step
+        ``h = √eps`` falls back to ``√eps·max(1, |z_i|)`` where it vanishes
+        and is flipped or shortened at the bounds, and column ``i`` is
+        ``(f(z + h_i e_i) − f(z)) / ((z_i + h_i) − z_i)``.  Structure makes
+        the pass cheap: a block's column for a variable it does not read is
+        ``0.0/dx_i``, the angle columns reuse the assembled ``B(x)`` and
+        flow matrix, the dispatch columns reuse ``B(x) θ``, and only the
+        D-FACTS columns re-assemble.  The last pass is memoised on the bytes
+        of ``z``, so SLSQP's three callbacks at one iterate share it; the
+        returned arrays are read-only.
+        """
+        z = np.asarray(z, dtype=float).ravel()
+        key = z.tobytes()
+        if self._derivative_memo is not None and self._derivative_memo[0] == key:
+            return self._derivative_memo[1]
+        if _TELEMETRY.enabled:
+            _metrics.counter("opf.nlp.derivative_passes")
+        z = np.clip(z, self._lower, self._upper)
+        stepped = z + self._forward_steps(z)
+        dx = stepped - z
+        n_gen, n_theta = self._n_gen, self._n_theta
+        g, theta_red, x_d = self.split(z)
+        x = self.full_reactances(x_d)
+        theta = self.full_angles(theta_red)
+        susceptance = self._susceptance(x)
+        flow_matrix = self._flow_matrix(x)
+        dispatch = self._C @ g - self._loads_pu
+        injected = susceptance @ theta
+        cost0 = self._scaled_cost(g)
+        balance0 = dispatch - injected
+        flows0 = self._flow_margins(flow_matrix @ theta)
+
+        # f(z + h_i e_i) for every i, one column per variable.
+        cost = np.full(z.shape[0], cost0)
+        balance = np.empty((balance0.shape[0], z.shape[0]))
+        flows = np.empty((flows0.shape[0], z.shape[0]))
+        for i in range(n_gen):
+            g_i = g.copy()
+            g_i[i] = stepped[i]
+            cost[i] = self._scaled_cost(g_i)
+            balance[:, i] = self._C @ g_i - self._loads_pu - injected
+            flows[:, i] = flows0
+        for j in range(n_theta):
+            theta_j = theta.copy()
+            theta_j[self._keep[j]] = stepped[n_gen + j]
+            balance[:, n_gen + j] = dispatch - susceptance @ theta_j
+            flows[:, n_gen + j] = self._flow_margins(flow_matrix @ theta_j)
+        for k in range(self._n_dfacts):
+            x_k = x.copy()
+            x_k[self._dfacts[k]] = stepped[n_gen + n_theta + k]
+            balance[:, n_gen + n_theta + k] = dispatch - self._susceptance(x_k) @ theta
+            flows[:, n_gen + n_theta + k] = self._flow_margins(self._flow_matrix(x_k) @ theta)
+
+        result = (
+            (cost - cost0) / dx,
+            (balance - balance0[:, None]) / dx,
+            (flows - flows0[:, None]) / dx,
+        )
+        for array in result:
+            array.flags.writeable = False
+        self._derivative_memo = (key, result)
+        return result
+
+    def _forward_steps(self, z: np.ndarray) -> np.ndarray:
+        """scipy's absolute 2-point steps at ``z``, adjusted to the bounds."""
+        lower, upper = self._lower, self._upper
+        sign = (z >= 0).astype(float) * 2 - 1
+        step = np.where(
+            (z + _FD_STEP) - z == 0, _FD_STEP * sign * np.maximum(1.0, np.abs(z)), _FD_STEP
+        )
+        if np.all((lower == -np.inf) & (upper == np.inf)):
+            return step
+        lower_dist = z - lower
+        upper_dist = upper - z
+        trial = z + step
+        violated = (trial < lower) | (trial > upper)
+        fitting = np.abs(step) <= np.maximum(lower_dist, upper_dist)
+        step[violated & fitting] *= -1
+        forward = (upper_dist >= lower_dist) & ~fitting
+        step[forward] = upper_dist[forward]
+        backward = (upper_dist < lower_dist) & ~fitting
+        step[backward] = -lower_dist[backward]
+        return step
+
+    def objective_gradient(self, z: np.ndarray) -> np.ndarray:
+        """Finite-difference gradient of :meth:`objective` (see :meth:`derivatives`)."""
+        return self.derivatives(z)[0]
+
+    def balance_jacobian(self, z: np.ndarray) -> np.ndarray:
+        """Finite-difference Jacobian of :meth:`equality_constraints`."""
+        return self.derivatives(z)[1]
+
+    def flow_jacobian(self, z: np.ndarray) -> np.ndarray:
+        """Finite-difference Jacobian of :meth:`inequality_constraints`."""
+        return self.derivatives(z)[2]
 
     def reactance_constraints(self, z: np.ndarray) -> np.ndarray:
         """The extra reactance constraints, non-negative when satisfied."""
@@ -263,8 +397,8 @@ class ReactanceOPFProblem:
         g, theta_red, x_d = self.split(z)
         x = self.full_reactances(x_d)
         theta = self.full_angles(theta_red)
-        flows_pu = (1.0 / x)[:, None] * self._A_T @ theta
-        cost = float(np.dot(self._costs * self._base, g))
+        flows_pu = self._flow_matrix(x) @ theta
+        cost = float(np.dot(self._cost_weights, g))
         return OPFResult(
             cost=cost,
             dispatch_mw=g * self._base,
@@ -329,16 +463,17 @@ def solve_reactance_opf(
         loads_mw=loads,
         extra_reactance_constraints=tuple(extra_reactance_constraints),
     )
+    inequality_blocks = [(problem.inequality_constraints, problem.flow_jacobian)]
+    if problem.extra_reactance_constraints:
+        inequality_blocks.append(
+            (problem.reactance_constraints, problem.reactance_constraints_jacobian)
+        )
     optimizer = MultiStartOptimizer(
         objective=problem.objective,
+        objective_gradient=problem.objective_gradient,
         bounds=problem.bounds(),
-        equality_constraints=problem.equality_constraints,
-        inequality_constraints=problem.inequality_constraints,
-        inequality_with_jacobian=(
-            (problem.reactance_constraints, problem.reactance_constraints_jacobian)
-            if problem.extra_reactance_constraints
-            else None
-        ),
+        equality_constraints=(problem.equality_constraints, problem.balance_jacobian),
+        inequality_constraints=inequality_blocks,
         max_iterations=max_iterations,
     )
     outcome = optimizer.solve(problem.starting_points(n_random=n_random_starts, seed=seed))

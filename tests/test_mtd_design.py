@@ -8,7 +8,9 @@ import pytest
 from repro.exceptions import MTDDesignError
 from repro.grid.cases import case14, load_case
 from repro.grid.matrices import reduced_measurement_matrix
+from repro.mtd import design as design_module
 from repro.mtd.design import (
+    DesignContext,
     design_mtd_perturbation,
     max_spa_perturbation,
     spa_gradient,
@@ -111,6 +113,35 @@ class TestTwoStageDesign:
         attacker_matrix = reduced_measurement_matrix(net14, x_attacker)
         achieved = spa_of_reactances(net14, attacker_matrix, design.perturbed_reactances)
         assert achieved >= 0.2 - 1e-6
+
+
+    def test_each_distinct_reactance_vector_is_evaluated_once(self, monkeypatch):
+        """One SPA memo serves the max-SPA search and the line searches alike."""
+        network = load_case("ieee14")
+        preferred = network.reactances()
+        preferred[list(network.dfacts_branches)[0]] *= 1.05
+        evaluated: list[bytes] = []
+        original = design_module.spa_of_reactances
+
+        def counting(net, attacker, reactances):
+            evaluated.append(np.asarray(reactances, dtype=float).tobytes())
+            return original(net, attacker, reactances)
+
+        monkeypatch.setattr(design_module, "spa_of_reactances", counting)
+        designs = {}
+        for label, context in (("plain", None), ("context", DesignContext())):
+            evaluated.clear()
+            designs[label] = design_mtd_perturbation(
+                network, gamma_threshold=0.2, method="two-stage",
+                preferred_reactances=preferred, seed=0, context=context,
+            )
+            assert evaluated
+            assert len(evaluated) == len(set(evaluated))
+        plain, with_context = designs["plain"], designs["context"]
+        assert plain.perturbed_reactances.tobytes() == with_context.perturbed_reactances.tobytes()
+        assert plain.opf.dispatch_mw.tobytes() == with_context.opf.dispatch_mw.tobytes()
+        assert repr(plain.cost) == repr(with_context.cost)
+        assert repr(plain.achieved_spa) == repr(with_context.achieved_spa)
 
 
 class TestJointDesign:

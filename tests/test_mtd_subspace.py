@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from repro.grid.matrices import reduced_measurement_matrix
+from repro.grid.cases import available_cases, load_case
+from repro.grid.matrices import measurement_matrix, reduced_measurement_matrix
 from repro.mtd.subspace import (
+    AttackerSubspace,
     column_space_overlap_dimension,
     is_orthogonal_complement,
     largest_principal_angle,
@@ -119,6 +122,94 @@ class TestDesignMetric:
         A = rng.standard_normal((10, 3))
         B = rng.standard_normal((10, 3))
         assert spa_degrees(A, B) == pytest.approx(np.degrees(subspace_angle(A, B)))
+
+
+def _scipy_gamma(A: np.ndarray, B: np.ndarray) -> float:
+    return float(scipy.linalg.subspace_angles(A, B).max())
+
+
+class TestAttackerSubspaceKernel:
+    """The prepared-basis kernel equals ``scipy.linalg.subspace_angles`` bit for bit."""
+
+    @pytest.mark.parametrize(
+        "case_name",
+        [name for name in available_cases() if load_case(name).n_buses <= 118],
+    )
+    def test_random_dfacts_draws_match_scipy(self, case_name):
+        network = load_case(case_name)
+        x0 = network.reactances()
+        H = reduced_measurement_matrix(network, x0)
+        prepared = AttackerSubspace(H)
+        lower, upper = network.reactance_bounds()
+        dfacts = list(network.dfacts_branches)
+        rng = np.random.default_rng(7)
+        for _ in range(2 if network.n_buses > 57 else 6):
+            x = x0.copy()
+            x[dfacts] = rng.uniform(lower[dfacts], upper[dfacts])
+            H_perturbed = reduced_measurement_matrix(network, x)
+            expected = _scipy_gamma(H, H_perturbed)
+            assert subspace_angle(prepared, H_perturbed) == expected
+            assert subspace_angle(H, H_perturbed) == expected
+            assert np.array_equal(
+                prepared.angles(H_perturbed), scipy.linalg.subspace_angles(H, H_perturbed)
+            )
+            assert np.array_equal(
+                principal_angles(H, H_perturbed),
+                np.sort(scipy.linalg.subspace_angles(H, H_perturbed)),
+            )
+
+    @pytest.mark.parametrize("shapes", [((12, 4), (12, 4)), ((12, 2), (12, 5)), ((9, 5), (9, 3))])
+    def test_wide_angles_match_scipy_elementwise(self, rng, shapes):
+        """Random subspaces mix the cosine (σ² < 0.5) and sine branches."""
+        for _ in range(5):
+            A = rng.standard_normal(shapes[0])
+            B = rng.standard_normal(shapes[1])
+            expected = scipy.linalg.subspace_angles(A, B)
+            assert np.array_equal(AttackerSubspace(A).angles(B), expected)
+            assert subspace_angle(A, B) == _scipy_gamma(A, B)
+
+    def test_identical_subspaces(self, net14):
+        H = reduced_measurement_matrix(net14)
+        gamma = subspace_angle(AttackerSubspace(H), H)
+        assert gamma == _scipy_gamma(H, H)
+        assert gamma == pytest.approx(0.0, abs=1e-9)
+
+    def test_rank_deficient_unreduced_matrix(self, net14):
+        """The full ``H`` keeps the slack column, so its rank is ``N − 1``."""
+        H = measurement_matrix(net14)
+        assert np.linalg.matrix_rank(H) == H.shape[1] - 1
+        x = net14.reactances()
+        x[list(net14.dfacts_branches)] *= 1.3
+        H_perturbed = measurement_matrix(net14, x)
+        prepared = AttackerSubspace(H)
+        assert prepared.basis.shape[1] == H.shape[1] - 1
+        assert subspace_angle(prepared, H_perturbed) == _scipy_gamma(H, H_perturbed)
+
+    def test_attacker_narrower_than_candidate(self, net14):
+        H = reduced_measurement_matrix(net14)
+        x = net14.reactances()
+        x[list(net14.dfacts_branches)] *= 0.8
+        H_perturbed = reduced_measurement_matrix(net14, x)
+        narrow = H[:, :5]
+        assert subspace_angle(AttackerSubspace(narrow), H_perturbed) == _scipy_gamma(
+            narrow, H_perturbed
+        )
+
+    def test_non_finite_input_raises(self, net14):
+        H = reduced_measurement_matrix(net14)
+        poisoned = H.copy()
+        poisoned[3, 2] = np.nan
+        with pytest.raises(ValueError):
+            AttackerSubspace(poisoned)
+        with pytest.raises(ValueError):
+            subspace_angle(AttackerSubspace(H), poisoned)
+        with pytest.raises(ValueError):
+            scipy.linalg.subspace_angles(H, poisoned)
+
+    def test_row_mismatch_rejected(self, net14):
+        H = reduced_measurement_matrix(net14)
+        with pytest.raises(ValueError):
+            subspace_angle(AttackerSubspace(H), H[:-1])
 
 
 class TestOrthogonality:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.optimize._numdiff import approx_derivative
 
 from repro.exceptions import OPFConvergenceError, OPFInfeasibleError
 from repro.grid.cases import available_cases, case4gs, case14, load_case
@@ -207,6 +208,188 @@ class TestConstraintAssembly:
             assert np.array_equal(result.flows_mw, flows * network.base_mva)
 
 
+_SQRT_EPS = np.finfo(float).eps ** 0.5
+
+
+def _scipy_derivatives(problem: ReactanceOPFProblem, z: np.ndarray):
+    """The derivatives SLSQP computes itself when given none (the oracle)."""
+    low, high = np.array(problem.bounds(), dtype=float).T
+    z = np.clip(z, low, high)
+    return tuple(
+        approx_derivative(f, z, method="2-point", abs_step=_SQRT_EPS, bounds=(low, high))
+        for f in (problem.objective, problem.equality_constraints, problem.inequality_constraints)
+    )
+
+
+class _WideFirstGenerator(ReactanceOPFProblem):
+    """A first-generator range so wide that ``z + √eps`` rounds back to ``z``."""
+
+    def bounds(self):
+        bounds = super().bounds()
+        bounds[0] = (0.0, 1e12)
+        return bounds
+
+
+class _TightFirstGenerator(ReactanceOPFProblem):
+    """A first-generator range narrower than the finite-difference step."""
+
+    def bounds(self):
+        bounds = super().bounds()
+        bounds[0] = (bounds[0][0], bounds[0][0] + 0.3 * _SQRT_EPS)
+        return bounds
+
+
+class TestStructuredDerivatives:
+    """``ReactanceOPFProblem.derivatives`` equals scipy's 2-point rule bit for bit."""
+
+    @staticmethod
+    def _assert_matches_scipy(problem, z):
+        for got, expected in zip(problem.derivatives(z), _scipy_derivatives(problem, z)):
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+            # Signed zeros included: the unread columns are 0.0/dx.
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    @pytest.mark.parametrize("case_name", ["ieee14", "ieee30", "case4gs"])
+    def test_interior_points(self, case_name):
+        network = load_case(case_name)
+        problem = ReactanceOPFProblem(network=network, loads_mw=network.loads_mw())
+        low, high = np.array(problem.bounds(), dtype=float).T
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            self._assert_matches_scipy(problem, rng.uniform(low, high))
+
+    def test_points_on_and_outside_each_bound(self):
+        network = load_case("ieee14")
+        problem = ReactanceOPFProblem(network=network, loads_mw=network.loads_mw())
+        low, high = np.array(problem.bounds(), dtype=float).T
+        middle = 0.5 * (low + high)
+        for index in range(problem.n_variables):
+            for value in (low[index], high[index], high[index] - 0.5 * _SQRT_EPS):
+                z = middle.copy()
+                z[index] = value
+                self._assert_matches_scipy(problem, z)
+        # SLSQP can step a few ulps outside the box; both sides clip first.
+        self._assert_matches_scipy(problem, np.nextafter(high, np.inf))
+        self._assert_matches_scipy(problem, low)
+
+    def test_step_fallback_and_steps_that_do_not_fit(self):
+        network = load_case("ieee14")
+        wide = _WideFirstGenerator(network=network, loads_mw=network.loads_mw())
+        z = 0.5 * np.sum(np.array(wide.bounds(), dtype=float), axis=1)
+        assert (z[0] + _SQRT_EPS) - z[0] == 0.0
+        self._assert_matches_scipy(wide, z)
+        tight = _TightFirstGenerator(network=network, loads_mw=network.loads_mw())
+        low, high = np.array(tight.bounds(), dtype=float).T
+        for first in (low[0], high[0], 0.5 * (low[0] + high[0])):
+            z = 0.5 * (low + high)
+            z[0] = first
+            self._assert_matches_scipy(tight, z)
+
+    def test_empty_flow_block(self):
+        network = load_case("ieee14")
+        unlimited = network.with_flow_limits(np.full(network.n_branches, np.inf))
+        problem = ReactanceOPFProblem(network=unlimited, loads_mw=unlimited.loads_mw())
+        z = 0.5 * np.sum(np.array(problem.bounds(), dtype=float), axis=1)
+        self._assert_matches_scipy(problem, z)
+        assert problem.flow_jacobian(z).shape == (0, problem.n_variables)
+
+    def test_one_pass_serves_every_callback_at_an_iterate(self):
+        network = load_case("ieee14")
+        problem = ReactanceOPFProblem(network=network, loads_mw=network.loads_mw())
+        z = 0.5 * np.sum(np.array(problem.bounds(), dtype=float), axis=1)
+        first = problem.derivatives(z)
+        assert problem.objective_gradient(z.copy()) is first[0]
+        assert problem.balance_jacobian(z.copy()) is first[1]
+        assert problem.flow_jacobian(z.copy()) is first[2]
+        assert not any(array.flags.writeable for array in first)
+        z[0] += 1e-3
+        assert problem.derivatives(z)[0] is not first[0]
+
+
+def _scipy_differenced_opf(network, loads, extra_reactance_constraints=(), n_random_starts=4):
+    """Eq. (1)/(4) with bare callables: scipy finite-differences every block."""
+    problem = ReactanceOPFProblem(
+        network=network,
+        loads_mw=loads,
+        extra_reactance_constraints=tuple(extra_reactance_constraints),
+    )
+    inequality = [problem.inequality_constraints]
+    if problem.extra_reactance_constraints:
+        inequality.append(
+            (problem.reactance_constraints, problem.reactance_constraints_jacobian)
+        )
+    outcome = MultiStartOptimizer(
+        objective=problem.objective,
+        bounds=problem.bounds(),
+        equality_constraints=problem.equality_constraints,
+        inequality_constraints=inequality,
+        max_iterations=300,
+    ).solve(problem.starting_points(n_random=n_random_starts, seed=0))
+    best = outcome.require_best()
+    return problem.result_from_vector(
+        best.x, status="oracle", iterations=best.iterations, violation=best.max_violation
+    )
+
+
+def _assert_same_solution(result, oracle):
+    assert repr(result.cost) == repr(oracle.cost)
+    assert result.dispatch_mw.tobytes() == oracle.dispatch_mw.tobytes()
+    assert result.reactances.tobytes() == oracle.reactances.tobytes()
+    assert result.iterations == oracle.iterations
+
+
+class TestReactanceOPFMatchesScipyDifferences:
+    """``solve_reactance_opf`` is bit-identical to letting scipy difference."""
+
+    @pytest.mark.parametrize("scale", [0.75, 0.85, 1.0, 1.1])
+    def test_eq1(self, scale):
+        network = load_case("ieee14")
+        loads = network.loads_mw() * scale
+        _assert_same_solution(
+            solve_reactance_opf(network, loads_mw=loads),
+            _scipy_differenced_opf(network, loads),
+        )
+
+    def test_scipy_differences_no_block(self, monkeypatch):
+        import scipy.optimize._differentiable_functions as scalar_functions
+        import scipy.optimize._slsqp_py as slsqp
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy finite-differenced an eq. (1)/(4) block")
+
+        for module in (scalar_functions, slsqp):
+            monkeypatch.setattr(module, "approx_derivative", forbidden)
+        network = load_case("ieee14")
+        spa = ReactanceConstraint(
+            lambda x: x[list(network.dfacts_branches)].sum(),
+            lambda x: np.isin(np.arange(x.shape[0]), network.dfacts_branches).astype(float),
+        )
+        solve_reactance_opf(network, extra_reactance_constraints=[spa], n_random_starts=1)
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.2, 0.3])
+    def test_eq4(self, gamma):
+        from repro.grid.matrices import reduced_measurement_matrix
+        from repro.mtd.design import spa_gradient, spa_of_reactances
+        from repro.mtd.subspace import AttackerSubspace
+
+        network = load_case("ieee14")
+        loads = network.loads_mw()
+        attacker = AttackerSubspace(
+            reduced_measurement_matrix(network, solve_reactance_opf(network).reactances)
+        )
+        spa = ReactanceConstraint(
+            lambda x: spa_of_reactances(network, attacker, x) - gamma,
+            lambda x: spa_gradient(network, attacker.basis, x),
+        )
+        _assert_same_solution(
+            solve_reactance_opf(
+                network, loads_mw=loads, extra_reactance_constraints=[spa], n_random_starts=2
+            ),
+            _scipy_differenced_opf(network, loads, [spa], n_random_starts=2),
+        )
+
+
 class TestMultiStart:
     def test_finds_global_minimum_of_multimodal_function(self):
         # f(x) = (x^2 - 1)^2 has minima at ±1; starts near both should find them.
@@ -293,6 +476,23 @@ class TestMultiStart:
         assert counters["opf.nlp.local_solves"] == len(starts)
         assert counters["opf.nlp.iterations"] == sum(run.iterations for run in on.runs)
         assert counters["opf.nlp.jacobian_evals"] == sum(run.njev for run in on.runs)
+
+        # The structured derivative path of eq. (1): one pass per iterate
+        # whose derivatives SLSQP requests, and bit-identical either way.
+        network = load_case("ieee14")
+        with enabled_scope(False):
+            plain = solve_reactance_opf(network, n_random_starts=1)
+        metrics.reset()
+        try:
+            with enabled_scope(True):
+                traced = solve_reactance_opf(network, n_random_starts=1)
+            counters = metrics.snapshot().counters
+        finally:
+            metrics.reset()
+        assert repr(traced.cost) == repr(plain.cost)
+        assert traced.dispatch_mw.tobytes() == plain.dispatch_mw.tobytes()
+        assert traced.reactances.tobytes() == plain.reactances.tobytes()
+        assert counters["opf.nlp.derivative_passes"] == counters["opf.nlp.jacobian_evals"] > 0
 
     def test_feasibility_tolerance_constant(self):
         assert LocalSolve.FEASIBILITY_TOL == pytest.approx(1e-5)
