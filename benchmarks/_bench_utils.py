@@ -4,9 +4,11 @@ module injection)."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
+import sys
 import time
 from pathlib import Path
 from typing import Any, Callable
@@ -61,15 +63,31 @@ def emit_bench_json(name: str, payload: dict) -> Path:
     its printed tables.  CI's docs job runs the fig6a benchmark in smoke
     mode and asserts the file appears, so BENCH emission cannot silently
     break.
+
+    The record carries ``driver_sha256``, the SHA-256 of the calling
+    benchmark module's source: ``scripts/check_bench_manifest.py`` reports
+    a record stale when its driver's source no longer hashes the same.
     """
     out_dir = Path(os.environ.get("REPRO_BENCH_OUT", Path(__file__).resolve().parent))
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"BENCH_{name}.json"
-    record = {"name": name, "created_unix": time.time(), **payload}
+    record = {
+        "name": name,
+        "created_unix": time.time(),
+        "driver_sha256": _driver_sha256(sys._getframe(1).f_globals.get("__file__")),
+        **payload,
+    }
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"[bench] wrote {path}")
     _append_history(out_dir, record)
     return path
+
+
+def _driver_sha256(driver: str | None) -> str | None:
+    """SHA-256 of the emitting module's source, ``None`` without a file."""
+    if driver is None:
+        return None
+    return hashlib.sha256(Path(driver).read_bytes()).hexdigest()
 
 
 def _git_sha() -> str | None:

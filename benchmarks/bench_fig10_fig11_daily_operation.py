@@ -16,10 +16,9 @@ eq. (1)) is recorded.
   γ(H_t, H'_{t'}) tracks the cost-relevant γ(H_{t'}, H'_{t'}).
 
 Both figures come from the same simulated day, so a single benchmark
-regenerates them — and times the engine against the historical execution
-strategy (linear γ-grid scan, no per-hour design memoisation, serial
-hours), asserting the bisection + context-reuse + parallel-hours path is
-at least 2x faster while producing record-for-record identical results.
+regenerates them and times the engine's path: per-hour threshold
+bisection, one design context per hour, parallel hours.  Scan-vs-bisect
+agreement is a tier-1 test (``tests/test_timeseries.py``).
 """
 
 from __future__ import annotations
@@ -55,20 +54,12 @@ def scheduler_n_attacks(scale) -> int:
     return min(scale.n_attacks, N_ATTACKS_CAP)
 
 
-def day_spec(scale, *, legacy: bool):
-    """The Fig. 10 operation spec at the benchmark scale.
-
-    ``legacy=True`` pins the historical execution strategy — linear grid
-    scan with a fresh design per probe — which selects the same thresholds
-    and produces identical records, only slower.
-    """
+def day_spec(scale):
+    """The Fig. 10 operation spec at the benchmark scale."""
     return daily_operation_spec(
-        name="fig10-bench-legacy" if legacy else "fig10-bench",
+        name="fig10-bench",
         profile=ProfileSpec(hours=None if scale.n_hours >= 24 else scale.n_hours),
-        tuning=TuningSpec(
-            method="scan" if legacy else "bisect",
-            reuse_design_context=not legacy,
-        ),
+        tuning=TuningSpec(method="bisect"),
         n_attacks=scheduler_n_attacks(scale),
         seed=0,
     )
@@ -80,29 +71,12 @@ def run_day(spec, n_workers: int) -> OperationResult:
 
 
 def bench_fig10_fig11_daily_operation(benchmark, scale):
-    """Regenerate the Fig. 10 / Fig. 11 series; time engine vs legacy path."""
+    """Regenerate the Fig. 10 / Fig. 11 series and time the operated day."""
     n_workers = max(1, min(4, os.cpu_count() or 1))
-    result, day_first = benchmark.pedantic(
-        time_call, args=(run_day, day_spec(scale, legacy=False), n_workers),
+    result, day_seconds = benchmark.pedantic(
+        time_call, args=(run_day, day_spec(scale), n_workers),
         rounds=1, iterations=1,
     )
-    legacy_result, legacy_first = time_call(
-        run_day, day_spec(scale, legacy=True), 1
-    )
-    day_times, legacy_times = [day_first], [legacy_first]
-    # The speedup is asserted on per-arm minima over a second,
-    # order-reversed pair: a single-shot ratio inherits whatever
-    # preemption or frequency-scaling noise hits either arm, which made
-    # the 2x bar flaky on loaded machines.  Smoke budgets skip the extra
-    # pair (their ratio is never asserted).
-    if scale.name != "smoke":
-        legacy_times.append(time_call(run_day, day_spec(scale, legacy=True), 1)[1])
-        day_times.append(
-            time_call(run_day, day_spec(scale, legacy=False), n_workers)[1]
-        )
-    day_seconds = min(day_times)
-    legacy_seconds = min(legacy_times)
-    speedup = legacy_seconds / day_seconds if day_seconds > 0 else 1.0
 
     print_banner("Fig. 10 — MTD operational cost and total load over a day (IEEE 14-bus)")
     print(
@@ -137,23 +111,15 @@ def bench_fig10_fig11_daily_operation(benchmark, scale):
           f"{costs[peak_half].mean():.2f}% vs {costs[~peak_half].mean():.2f}% in the "
           "low-load half.")
     print(f"Engine (bisection + design reuse, {n_workers} worker(s)): "
-          f"{day_seconds:.2f}s for {len(result)} hours "
-          f"(best of {len(day_times)}), "
+          f"{day_seconds:.2f}s for {len(result)} hours, "
           f"{result.total_tuning_probes()} tuning probes.")
-    print(f"Legacy strategy (linear scan, fresh designs, serial): "
-          f"{legacy_seconds:.2f}s (best of {len(legacy_times)}), "
-          f"{legacy_result.total_tuning_probes()} probes "
-          f"-> {speedup:.2f}x speedup.")
 
     common = {
         "scale": scale.name,
         "n_hours": len(result),
         "n_attacks": scheduler_n_attacks(scale),
         "n_workers": n_workers,
-        "timing_repeats": len(day_times),
         "day_seconds": day_seconds,
-        "legacy_seconds": legacy_seconds,
-        "speedup_vs_legacy": speedup,
     }
     emit_bench_json(
         "fig10",
@@ -162,7 +128,6 @@ def bench_fig10_fig11_daily_operation(benchmark, scale):
             **common,
             "seconds_per_hour": day_seconds / max(1, len(result)),
             "tuning_probes": result.total_tuning_probes(),
-            "legacy_tuning_probes": legacy_result.total_tuning_probes(),
             "mean_cost_increase_percent": float(costs.mean()),
             "peak_cost_increase_percent": float(costs.max()),
         },
@@ -178,22 +143,6 @@ def bench_fig10_fig11_daily_operation(benchmark, scale):
         },
     )
 
-    # The engine path must agree with the historical strategy record for
-    # record (probe counts differ by design).  Bisection's same-grid-value
-    # guarantee only holds while η'(γ) is monotone over the grid; at large
-    # attack budgets an individual hour can violate that (e.g. hour 18 at
-    # the quick scale), in which case scan finds the *smallest* passing
-    # value and bisection a possibly larger one — both must still meet the
-    # η target, and bisection can only land above scan, never below.
-    eta_target = day_spec(scale, legacy=False).operation.tuning.eta_target
-    for fast, slow in zip(result, legacy_result):
-        if fast.gamma_threshold == slow.gamma_threshold:
-            assert fast.cost_increase_percent == slow.cost_increase_percent, (fast, slow)
-            assert fast.spa_attacker_vs_mtd == slow.spa_attacker_vs_mtd, (fast, slow)
-        else:
-            assert fast.gamma_threshold > slow.gamma_threshold, (fast, slow)
-            assert fast.achieved_eta >= eta_target, (fast, slow)
-            assert slow.achieved_eta >= eta_target, (fast, slow)
     # Fig. 10 shape: costs are non-negative and the expensive hours are the
     # loaded ones.
     assert np.all(costs >= -1e-9)
@@ -207,11 +156,3 @@ def bench_fig10_fig11_daily_operation(benchmark, scale):
     assert np.median(series["gamma(Ht, Ht')"]) <= 0.1
     aligned = series["gamma(Ht, Ht')"] <= series["gamma(Ht, H't')"] + 1e-9
     assert aligned.mean() >= 0.75, series
-    # The acceptance bar: bisection + design reuse + parallel hours buy at
-    # least 2x over the historical execution strategy (smoke budgets are too
-    # small for stable timing).  The bar holds even on a single-core runner:
-    # bisection + design-context reuse alone measure ~3.7x serial on the
-    # fig10 setting, so the parallel-hours contribution is margin, not a
-    # requirement.
-    if scale.name != "smoke":
-        assert speedup >= 2.0, f"fig10 speedup only {speedup:.2f}x"

@@ -11,16 +11,20 @@ needed), then validates each committed record:
 * the file exists and parses as JSON;
 * its ``name`` field matches the filename;
 * it has a positive ``created_unix`` stamp;
-* it is not *stale*: a record older than its emitting benchmark module
-  predates the code that produced it and must be regenerated.
+* it is not *stale*: its ``driver_sha256`` (the SHA-256 of the emitting
+  benchmark module's source when the record was written) still matches
+  the module's current source.  A record whose driver has since been
+  edited must be regenerated; a record without the hash is *unstamped*.
+  Judging by content rather than file mtime keeps fresh checkouts, where
+  every source gets a new mtime, from looking stale.
 
 Run from the repository root (CI does)::
 
     python scripts/check_bench_manifest.py
 
-Exit status is non-zero on any missing, malformed, mismatched, or stale
-record.  Pass ``--allow-stale`` to downgrade staleness to a warning (for
-local runs where git checkouts give sources fresh mtimes).
+Exit status is non-zero on any missing, malformed, mismatched, stale or
+unstamped record.  Pass ``--allow-stale`` to downgrade stale and unstamped
+records to warnings.
 
 Performance history
 -------------------
@@ -57,6 +61,7 @@ speedups/throughput should rise).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import sys
@@ -207,6 +212,11 @@ def expected_records(bench_dir: Path = BENCH_DIR) -> dict[str, Path]:
     return expected
 
 
+def source_sha256(module: Path) -> str:
+    """SHA-256 of a benchmark module's source, as ``emit_bench_json`` stamps it."""
+    return hashlib.sha256(module.read_bytes()).hexdigest()
+
+
 def check(allow_stale: bool = False, bench_dir: Path = BENCH_DIR) -> int:
     expected = expected_records(bench_dir)
     if not expected:
@@ -241,11 +251,19 @@ def check(allow_stale: bool = False, bench_dir: Path = BENCH_DIR) -> int:
         if not isinstance(created, (int, float)) or created <= 0:
             failures.append(f"{path.name}: missing/invalid created_unix stamp")
             continue
-        if created < module.stat().st_mtime:
+        driver_sha256 = record.get("driver_sha256")
+        message = None
+        if not driver_sha256:
             message = (
-                f"{path.name}: stale — created before {module.name} was last "
-                "modified; regenerate it"
+                f"{path.name}: unstamped — no driver_sha256 for {module.name}; "
+                "regenerate it"
             )
+        elif driver_sha256 != source_sha256(module):
+            message = (
+                f"{path.name}: stale — {module.name} changed since the record "
+                "was written; regenerate it"
+            )
+        if message is not None:
             if allow_stale:
                 warnings.append(message)
             else:
@@ -261,7 +279,11 @@ def check(allow_stale: bool = False, bench_dir: Path = BENCH_DIR) -> int:
         print(f"\n{len(failures)} of {len(expected)} BENCH records failed",
               file=sys.stderr)
         return 1
-    print(f"\nall {len(expected)} BENCH records present and fresh")
+    if warnings:
+        print(f"\nall {len(expected)} BENCH records present; "
+              f"{len(warnings)} stale or unstamped (allowed)")
+    else:
+        print(f"\nall {len(expected)} BENCH records present and fresh")
     return 0
 
 
@@ -270,8 +292,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--allow-stale",
         action="store_true",
-        help="warn (instead of fail) when a record predates its benchmark "
-        "module's mtime",
+        help="warn (instead of fail) when a record is stale or unstamped "
+        "(its driver_sha256 is missing or no longer matches its benchmark "
+        "module's source)",
     )
     parser.add_argument(
         "--compare",

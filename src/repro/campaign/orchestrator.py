@@ -213,7 +213,6 @@ class CampaignOrchestrator:
                     "name": plan.definition.name,
                     "plan_hash": plan.plan_hash,
                     "definition": plan.definition.to_dict(),
-                    "created_unix": time.time(),
                     # Environment stamp: which interpreter/libraries/machine
                     # first bound this store.  Diagnostic only — never read
                     # back by the orchestrator or the resume logic.

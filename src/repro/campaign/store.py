@@ -453,11 +453,16 @@ class CampaignStore:
         return manifest if isinstance(manifest, dict) else None
 
     def write_manifest(self, manifest: Mapping[str, Any]) -> None:
-        """Atomically persist the campaign manifest."""
+        """Atomically persist the campaign manifest, stamped ``created_unix``.
+
+        The stamp is bookkeeping like the records' own: never part of a
+        spec hash or a result.
+        """
+        stamped = {**manifest, "created_unix": time.time()}
         fd, tmp = tempfile.mkstemp(prefix=".manifest-", suffix=".tmp", dir=self._directory)
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(manifest, handle, indent=2, sort_keys=True)
+                json.dump(stamped, handle, indent=2, sort_keys=True)
             os.replace(tmp, self.manifest_path)
         except BaseException:
             try:

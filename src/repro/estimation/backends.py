@@ -27,9 +27,10 @@ linear-algebra queries.  Two first-class implementations exist:
     of ``U`` — instead of a dense SVD, so the guard stops being the
     O(M·n²) bottleneck.
 
-``auto`` resolves per model: sparse at or above
-:data:`~repro.grid.matrices.SPARSE_BUS_THRESHOLD` buses (the same
-crossover the grid layer uses for its CSR builders), dense below it.
+``auto`` resolves per model through
+:func:`~repro.grid.matrices.prefers_sparse`, the predicate the grid layer
+uses for its CSR builders: sparse at or above
+:data:`~repro.grid.matrices.SPARSE_BUS_THRESHOLD` buses, dense below it.
 
 Shapes follow the paper's Section III conventions: ``M`` measurements,
 ``n = N − 1`` states, ``B`` batch rows.  Every batched method takes
@@ -49,7 +50,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from repro.exceptions import ConfigurationError, EstimationError
-from repro.grid.matrices import SPARSE_BUS_THRESHOLD
+from repro.grid.matrices import prefers_sparse
 from repro.utils.linalg import is_full_column_rank
 
 #: A measurement Jacobian as accepted by the backends: dense array(-like)
@@ -115,7 +116,7 @@ def resolve_backend(backend: str, n_buses: int) -> str:
         )
     if backend != BACKEND_AUTO:
         return backend
-    return BACKEND_SPARSE if n_buses >= SPARSE_BUS_THRESHOLD else BACKEND_DENSE
+    return BACKEND_SPARSE if prefers_sparse(n_buses) else BACKEND_DENSE
 
 
 class FactorizationBackend(abc.ABC):

@@ -61,6 +61,17 @@ NetworkLike = Union[PowerNetwork, NetworkArrays]
 SPARSE_BUS_THRESHOLD: int = 100
 
 
+def prefers_sparse(n_buses: int) -> bool:
+    """Whether a network of ``n_buses`` buses goes sparse (the one size policy).
+
+    Sparse at or above :data:`SPARSE_BUS_THRESHOLD` buses, dense below.
+    Both the grid/solver layers (:func:`use_sparse_backend`) and the
+    factorization layer (:func:`repro.estimation.backends.resolve_backend`)
+    decide through this predicate.
+    """
+    return n_buses >= SPARSE_BUS_THRESHOLD
+
+
 def use_sparse_backend(network: NetworkLike, sparse: bool | None = None) -> bool:
     """Decide whether ``network`` should use the sparse backend.
 
@@ -69,12 +80,12 @@ def use_sparse_backend(network: NetworkLike, sparse: bool | None = None) -> bool
     network:
         The network in question.
     sparse:
-        Explicit override; ``None`` selects automatically by comparing the
-        bus count against :data:`SPARSE_BUS_THRESHOLD`.
+        Explicit override; ``None`` selects automatically through
+        :func:`prefers_sparse`.
     """
     if sparse is not None:
         return bool(sparse)
-    return network.n_buses >= SPARSE_BUS_THRESHOLD
+    return prefers_sparse(network.n_buses)
 
 
 def _reciprocal_reactances(
@@ -271,6 +282,7 @@ def branch_flow_matrix(
 __all__ = [
     "SPARSE_BUS_THRESHOLD",
     "NetworkLike",
+    "prefers_sparse",
     "use_sparse_backend",
     "incidence_matrix",
     "incidence_matrix_sparse",

@@ -12,9 +12,8 @@ The deterministic per-horizon context — the hourly loads, the chained
 no-MTD baseline OPFs (with D-FACTS carryover) and each hour's stale
 attacker knowledge — is memoised per process, so a worker pays the serial
 baseline chain once and then evaluates its assigned hours independently.
-Each hour derives its random streams from the spec's seed (scheme chosen by
-``operation.rng``), which is what makes parallel horizons bit-identical to
-serial ones.
+Each hour derives its random streams from ``(base_seed, hour)`` alone,
+which is what makes parallel horizons bit-identical to serial ones.
 
 Two per-hour optimisations make the tuning loop fast without changing a
 single bit of its output:
@@ -88,16 +87,12 @@ def _require_operation(spec: ScenarioSpec) -> OperationSpec:
 def _hour_seeds(operation: OperationSpec, base_seed: int, hour: int) -> tuple[int, int]:
     """The (evaluator, design) integer seeds of one hour.
 
-    Both schemes yield order-independent integers, so hours can run on any
-    worker in any order with bit-identical results:
-
-    * ``"spawn"`` — two words of ``SeedSequence(base_seed,
-      spawn_key=(hour,))``, the engine's seed-tree convention;
-    * ``"legacy"`` — the historical derivation
-      ``(base_seed + hour, base_seed)`` of the pre-engine serial loop.
+    Two words of ``SeedSequence(base_seed, spawn_key=(hour,))``, the
+    engine's seed-tree convention: order-independent integers, so hours can
+    run on any worker in any order with bit-identical results.  The seeds
+    depend on ``(base_seed, hour)`` alone; ``operation`` stays in the
+    signature for the callers that pass it.
     """
-    if operation.rng == "legacy":
-        return int(base_seed) + int(hour), int(base_seed)
     words = np.random.SeedSequence(int(base_seed), spawn_key=(int(hour),)).generate_state(
         2, np.uint64
     )
@@ -171,13 +166,9 @@ def _build_hours(
     n_hours = len(loads_list)
     hours: list[HourContext] = []
     for t in range(n_hours):
-        k = t - operation.staleness_hours
-        if k < 0:
-            # Warm-up: "fresh" hands the first hours their own (current)
-            # matrix — the historical behaviour; "wrap-around" uses the
-            # matching hour of the previous (assumed identical) day, i.e.
-            # the end of the horizon.
-            k = t if operation.warmup == "fresh" else k % n_hours
+        # The first hours wrap around to the matching hour of the previous
+        # (assumed identical) day, i.e. the end of the horizon.
+        k = (t - operation.staleness_hours) % n_hours
         knowledge_reactances = baselines[k].reactances
         # Deliberately re-solved rather than read off baselines[k]: a
         # reactance-OPF baseline's angles come from the joint NLP, not
@@ -267,7 +258,7 @@ def _tune_gamma(
     """
     grid = tuning.gamma_grid
     n_grid = len(grid)
-    design_context = DesignContext() if tuning.reuse_design_context else None
+    design_context = DesignContext()
     probes: dict[int, tuple[MTDDesignResult, float] | None] = {}
 
     def probe(index: int) -> tuple[MTDDesignResult, float] | None:
@@ -522,8 +513,6 @@ def daily_operation_spec(
     profile: ProfileSpec | None = None,
     tuning: TuningSpec | None = None,
     staleness_hours: int = 1,
-    warmup: str = "wrap-around",
-    rng: str = "spawn",
     carryover_tolerance: float = 5e-3,
     n_attacks: int = 300,
     attack_ratio: float = 0.08,
@@ -560,8 +549,6 @@ def daily_operation_spec(
         profile=profile if profile is not None else ProfileSpec(),
         tuning=tuning if tuning is not None else TuningSpec(),
         staleness_hours=staleness_hours,
-        warmup=warmup,
-        rng=rng,
         carryover_tolerance=carryover_tolerance,
     )
     return ScenarioSpec(

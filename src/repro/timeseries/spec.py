@@ -6,8 +6,8 @@ the attacker's knowledge of the measurement matrix is a few hours stale,
 tunes the SPA threshold to the smallest value meeting the effectiveness
 target, and pays the resulting cost premium.  An :class:`OperationSpec`
 names that whole policy — load profile, horizon, attacker staleness,
-warm-up behaviour for the first hours, threshold-tuning strategy and RNG
-scheme — as a frozen value object that embeds into a
+threshold-tuning strategy and D-FACTS carryover — as a frozen value
+object that embeds into a
 :class:`~repro.engine.spec.ScenarioSpec` (field ``operation``), so
 daily-operation runs get the engine/campaign stack for free: JSON
 round-trip, content hashing, process-pool parallelism over hours, and
@@ -181,19 +181,17 @@ class TuningSpec:
         Detection-probability level the effectiveness is read at.
     eta_target:
         Required ``η'(delta)``.
-    reuse_design_context:
-        Share one :class:`~repro.mtd.design.DesignContext` across the
-        hour's probes (default), computing the threshold-independent parts
-        of the MTD design once per hour.  Reuse is bit-identical to
-        recomputing; disabling it exists for benchmarks that time the
-        historical per-probe cost.
+
+    Every probe of an hour shares one
+    :class:`~repro.mtd.design.DesignContext`, so the threshold-independent
+    parts of the MTD design are computed once per hour; reuse is
+    bit-identical to recomputing them per probe.
     """
 
     method: str = "bisect"
     gamma_grid: tuple[float, ...] = DEFAULT_GAMMA_GRID
     delta: float = 0.9
     eta_target: float = 0.9
-    reuse_design_context: bool = True
 
     def __post_init__(self) -> None:
         if self.method not in ("bisect", "scan"):
@@ -235,53 +233,30 @@ class OperationSpec:
         Per-hour SPA-threshold selection (see :class:`TuningSpec`).
     staleness_hours:
         How old the attacker's knowledge of the measurement matrix is; the
-        paper uses one hour.
-    warmup:
-        Where the first ``staleness_hours`` hours get their attacker
-        knowledge from:
-
-        * ``"wrap-around"`` (default) — the matching hour of the previous
-          (assumed identical) day, i.e. the end of the horizon; for
-          one-hour staleness this is the previous day's last hour.
-        * ``"fresh"`` — the historical behaviour: the *current* hour's own
-          matrix, which gives the hour-0 attacker perfectly fresh knowledge
-          and pins ``γ(H_t, H_{t'})`` to zero at the first plotted hour of
-          Fig. 11.
-    rng:
-        Per-hour random-stream derivation:
-
-        * ``"spawn"`` (default) — seed-spawned:
-          ``SeedSequence(base_seed, spawn_key=(hour,))``, the engine
-          convention making parallel hours bit-identical to serial ones.
-        * ``"legacy"`` — the historical serial loop's scheme (evaluator
-          seed ``base_seed + hour``, design seed ``base_seed``); also
-          order-independent, kept so its pinned records stay reproducible.
+        paper uses one hour.  The first ``staleness_hours`` hours take it
+        from the matching hour of the previous (assumed identical) day,
+        i.e. the end of the horizon; for one-hour staleness this is the
+        previous day's last hour.
     carryover_tolerance:
         Reactance-OPF baselines keep the previous hour's D-FACTS settings
         unless re-optimising saves more than this relative amount (operator
         practice; what keeps consecutive no-MTD matrices nearly identical,
         as observed in Fig. 11).
+
+    Each hour's random streams are two words of
+    ``SeedSequence(base_seed, spawn_key=(hour,))``, the engine convention
+    making parallel hours bit-identical to serial ones.
     """
 
     profile: ProfileSpec = field(default_factory=ProfileSpec)
     tuning: TuningSpec = field(default_factory=TuningSpec)
     staleness_hours: int = 1
-    warmup: str = "wrap-around"
-    rng: str = "spawn"
     carryover_tolerance: float = 5e-3
 
     def __post_init__(self) -> None:
         if self.staleness_hours < 1:
             raise ConfigurationError(
                 f"staleness_hours must be at least 1, got {self.staleness_hours}"
-            )
-        if self.warmup not in ("wrap-around", "fresh"):
-            raise ConfigurationError(
-                f"warmup must be 'wrap-around' or 'fresh', got {self.warmup!r}"
-            )
-        if self.rng not in ("spawn", "legacy"):
-            raise ConfigurationError(
-                f"rng must be 'spawn' or 'legacy', got {self.rng!r}"
             )
         if self.carryover_tolerance < 0:
             raise ConfigurationError(

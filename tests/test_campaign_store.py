@@ -224,7 +224,11 @@ class TestManifest:
         store = CampaignStore(tmp_path / "s.campaign")
         assert store.read_manifest() is None
         store.write_manifest({"name": "c", "plan_hash": "abc"})
-        assert store.read_manifest() == {"name": "c", "plan_hash": "abc"}
+        manifest = store.read_manifest()
+        # The store stamps the manifest like its records.
+        created = manifest.pop("created_unix")
+        assert isinstance(created, float) and created > 0
+        assert manifest == {"name": "c", "plan_hash": "abc"}
 
     def test_corrupt_manifest_reads_as_none(self, tmp_path):
         store = CampaignStore(tmp_path / "s.campaign")

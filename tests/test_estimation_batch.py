@@ -170,18 +170,22 @@ class TestBatchedDetector:
         np.testing.assert_array_equal(batched, sequential)
 
     def test_evaluator_kernels_agree(self, evaluator14, net14):
+        """The batched evaluator agrees with a per-attack loop over the
+        detector's scalar closed form (the historical reference kernel)."""
         x = net14.reactances() * 1.15
-        reference = evaluator14.evaluate(x, kernel="reference")
-        batched = evaluator14.evaluate(x, kernel="batched")
+        detector = BadDataDetector(
+            MeasurementSystem.for_network(net14, reactances=x),
+            backend=evaluator14.backend,
+        )
+        reference = np.array(
+            [detector.detection_probability(a) for a in evaluator14.ensemble.attacks]
+        )
+        batched = evaluator14.evaluate(x)
         np.testing.assert_allclose(
-            reference.detection_probabilities,
+            reference,
             batched.detection_probabilities,
             atol=1e-12,
         )
-
-    def test_unknown_kernel_rejected(self, evaluator14, net14):
-        with pytest.raises(ConfigurationError):
-            evaluator14.evaluate(net14.reactances(), kernel="turbo")
 
 
 class TestLinearModelCache:

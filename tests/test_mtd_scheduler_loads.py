@@ -21,9 +21,8 @@ from repro.timeseries import (
 
 
 def operated_day(totals_mw, gamma_grid, **overrides):
-    """Operate ieee14 over an explicit load trace with the historical
-    daily-operation settings: linear threshold scan and per-hour seeds
-    ``(seed + hour, seed)``."""
+    """Operate ieee14 over an explicit load trace with a linear threshold
+    scan."""
     spec = daily_operation_spec(
         case="ieee14",
         profile=ProfileSpec(
@@ -34,7 +33,6 @@ def operated_day(totals_mw, gamma_grid, **overrides):
         tuning=TuningSpec(
             method="scan", gamma_grid=tuple(float(g) for g in gamma_grid)
         ),
-        rng="legacy",
         **overrides,
     )
     return OperationEngine().run(spec)

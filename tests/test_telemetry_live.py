@@ -744,6 +744,70 @@ def _load_bench_utils():
     return module
 
 
+class TestBenchStaleness:
+    """Records are stale when their driver's *content* changes, not its mtime."""
+
+    DRIVER = (
+        "from _bench_utils import emit_bench_json\n"
+        "\n"
+        "\n"
+        "def run():\n"
+        "    emit_bench_json('demo', {'scale': 'smoke', 'sweep_seconds': 1.0})\n"
+    )
+
+    def emit_from_driver(self, tmp_path, monkeypatch):
+        """Write a bench driver into ``tmp_path`` and let it emit its record."""
+        driver = tmp_path / "bench_demo.py"
+        driver.write_text(self.DRIVER)
+        monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmarks"))
+        monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
+        spec = importlib.util.spec_from_file_location("bench_demo", driver)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.run()
+        return driver
+
+    def test_record_carries_its_drivers_source_hash(self, tmp_path, monkeypatch):
+        driver = self.emit_from_driver(tmp_path, monkeypatch)
+        script = _load_manifest_script()
+        record = json.loads((tmp_path / "BENCH_demo.json").read_text())
+        assert record["driver_sha256"] == script.source_sha256(driver)
+        assert len(record["driver_sha256"]) == 64
+
+    def test_touching_the_driver_keeps_its_record_ok(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        driver = self.emit_from_driver(tmp_path, monkeypatch)
+        record = json.loads((tmp_path / "BENCH_demo.json").read_text())
+        later = record["created_unix"] + 3600.0
+        os.utime(driver, (later, later))  # as a fresh checkout would
+        script = _load_manifest_script()
+        assert script.check(bench_dir=tmp_path) == 0
+        assert "ok      BENCH_demo.json" in capsys.readouterr().out
+
+    def test_editing_the_driver_makes_its_record_stale(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        driver = self.emit_from_driver(tmp_path, monkeypatch)
+        driver.write_text(self.DRIVER + "# edited\n")
+        script = _load_manifest_script()
+        assert script.check(bench_dir=tmp_path) == 1
+        assert "BENCH_demo.json: stale" in capsys.readouterr().err
+        assert script.check(allow_stale=True, bench_dir=tmp_path) == 0
+        assert "warn    BENCH_demo.json: stale" in capsys.readouterr().out
+
+    def test_record_without_hash_is_unstamped(self, tmp_path, capsys):
+        (tmp_path / "bench_demo.py").write_text(self.DRIVER)
+        (tmp_path / "BENCH_demo.json").write_text(
+            json.dumps({"name": "demo", "created_unix": 100.0, "sweep_seconds": 1.0})
+        )
+        script = _load_manifest_script()
+        assert script.check(bench_dir=tmp_path) == 1
+        assert "BENCH_demo.json: unstamped" in capsys.readouterr().err
+        assert script.check(allow_stale=True, bench_dir=tmp_path) == 0
+        assert "warn    BENCH_demo.json: unstamped" in capsys.readouterr().out
+
+
 class TestBenchHistory:
     def write_record(self, bench_dir, name, value, created, scale="quick",
                      metric="sweep_seconds"):

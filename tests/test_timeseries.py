@@ -9,6 +9,8 @@ run, resume and query through the store).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from repro.loads.profiles import (
     multi_day_profile,
     profile_for_network,
 )
+from repro.opf.dc_opf import solve_dc_opf
+from repro.timeseries import engine as operation_engine
 from repro.timeseries import (
     OperationEngine,
     OperationResult,
@@ -36,8 +40,9 @@ from repro.timeseries import (
 #: Pre-refactor ``DailyMTDScheduler`` output (captured from the serial loop
 #: before it became a wrapper): IEEE 14-bus, loads [205, 212, 220] MW,
 #: n_attacks=80, gamma_grid=arange(0.05, 0.45, 0.1), seed=0, historical
-#: hour-0 behaviour (fresh attacker knowledge).  The engine must reproduce
-#: these records bit-for-bit at the same settings (``GOLDEN_SPEC``).
+#: per-hour seeds and hour-0 behaviour (fresh attacker knowledge).  The
+#: engine must reproduce these records bit-for-bit at the same settings
+#: (``GOLDEN_SPEC`` plus the two oracles in ``TestGoldenCompatibility``).
 GOLDEN_RECORDS = [
     {
         "hour": 0,
@@ -89,8 +94,6 @@ GOLDEN_SPEC = daily_operation_spec(
         method="scan",
         gamma_grid=tuple(float(g) for g in np.arange(0.05, 0.45, 0.1)),
     ),
-    warmup="fresh",
-    rng="legacy",
     n_attacks=80,
     seed=0,
 )
@@ -215,10 +218,16 @@ class TestOperationSpecLayer:
     def test_operation_validation(self):
         with pytest.raises(ConfigurationError):
             OperationSpec(staleness_hours=0)
-        with pytest.raises(ConfigurationError):
-            OperationSpec(warmup="cold")
-        with pytest.raises(ConfigurationError):
-            OperationSpec(rng="global")
+
+    def test_stored_legacy_operation_fields_are_rejected(self):
+        """A stored operation payload from before the legacy RNG and warm-up
+        modes were removed fails loudly, naming both fields."""
+        payload = OperationSpec().to_dict()
+        payload.update(rng="legacy", warmup="fresh")
+        with pytest.raises(ConfigurationError) as excinfo:
+            OperationSpec.from_dict(payload)
+        assert "rng" in str(excinfo.value)
+        assert "warmup" in str(excinfo.value)
 
     def test_scenario_requires_designed_policy_and_analytic_detector(self):
         with pytest.raises(ConfigurationError, match="designed"):
@@ -239,7 +248,7 @@ class TestOperationSpecLayer:
         assert clone == spec
         assert clone.content_hash() == spec.content_hash()
         # The operation policy participates in the identity.
-        changed = spec.with_updates({"operation.warmup": "fresh"})
+        changed = spec.with_updates({"operation.staleness_hours": 2})
         assert changed.content_hash() != spec.content_hash()
         assert spec.operation.content_hash() != changed.operation.content_hash()
 
@@ -263,16 +272,82 @@ class TestOperationSpecLayer:
 # ----------------------------------------------------------------------
 # engine: compatibility and determinism
 # ----------------------------------------------------------------------
+def legacy_hour_seeds(operation, base_seed, hour):
+    """Oracle: the pre-refactor loop's (evaluator, design) seeds of an hour."""
+    return int(base_seed) + int(hour), int(base_seed)
+
+
+def fresh_warmup(build_hours):
+    """Oracle: the pre-refactor hour-0 behaviour around ``_build_hours``.
+
+    The first ``staleness_hours`` hours take their *own* baseline matrix as
+    the attacker's knowledge (perfectly fresh) instead of wrapping around
+    to the end of the horizon.
+    """
+
+    def build(network, baseline_mode, operation, base_seed):
+        hours = build_hours(network, baseline_mode, operation, base_seed)
+        return tuple(
+            dataclasses.replace(
+                hour,
+                knowledge_reactances=hour.baseline.reactances,
+                knowledge_angles=solve_dc_opf(
+                    network, reactances=hour.baseline.reactances, loads_mw=hour.loads
+                ).angles_rad,
+            )
+            if hour.hour < operation.staleness_hours
+            else hour
+            for hour in hours
+        )
+
+    return build
+
+
 class TestGoldenCompatibility:
-    def test_wrapper_reproduces_pre_refactor_records(self):
+    def test_wrapper_reproduces_pre_refactor_records(self, monkeypatch):
         """The engine at the historical settings (linear scan, legacy
         per-hour seeds, fresh hour-0 knowledge) is bit-identical to the
-        pre-refactor serial scheduler loop."""
-        result = OperationEngine().run(GOLDEN_SPEC)
+        pre-refactor serial scheduler loop.  The last two are oracles
+        patched into the engine's seams, not runtime options."""
+        monkeypatch.setattr(operation_engine, "_hour_seeds", legacy_hour_seeds)
+        monkeypatch.setattr(
+            operation_engine,
+            "_build_hours",
+            fresh_warmup(operation_engine._build_hours),
+        )
+        # Horizon contexts and evaluators are memoised per process: drop
+        # any built without the oracles, and the ones built with them.
+        operation_engine.clear_operation_caches()
+        try:
+            result = OperationEngine().run(GOLDEN_SPEC)
+        finally:
+            operation_engine.clear_operation_caches()
         assert len(result) == len(GOLDEN_RECORDS)
         for record, expected in zip(result, GOLDEN_RECORDS):
             for field_name, value in expected.items():
                 assert getattr(record, field_name) == value, field_name
+
+    def test_fresh_warmup_oracle_reproduces_the_historical_skew(self, net14):
+        """The oracle hands hour 0 its own matrix; later hours keep the
+        engine's one-hour-stale knowledge."""
+        spec = daily_operation_spec(
+            name="ts-oracle",
+            cost_baseline="dispatch-only",
+            profile=ProfileSpec(
+                explicit_totals_mw=(200.0, 210.0, 220.0),
+                peak_load_mw=None,
+                min_load_mw=None,
+            ),
+            n_attacks=8,
+        )
+        build = fresh_warmup(operation_engine._build_hours)
+        hours = build(net14, spec.grid.baseline, spec.operation, spec.base_seed)
+        np.testing.assert_allclose(
+            hours[0].knowledge_angles, hours[0].baseline.angles_rad
+        )
+        np.testing.assert_allclose(
+            hours[1].knowledge_angles, hours[0].baseline.angles_rad
+        )
 
 
 class TestScanVsBisect:
@@ -352,7 +427,7 @@ class TestWarmupAndStaleness:
         return build_operation_context(spec, net)
 
     def test_wrap_around_uses_previous_days_last_hour(self, net14):
-        hours = self._context(net14, warmup="wrap-around")
+        hours = self._context(net14)
         # Hour 0's attacker operates at the *last* hour's load level…
         np.testing.assert_allclose(
             hours[0].knowledge_angles, hours[2].baseline.angles_rad
@@ -362,14 +437,8 @@ class TestWarmupAndStaleness:
             hours[1].knowledge_angles, hours[0].baseline.angles_rad
         )
 
-    def test_fresh_warmup_reproduces_the_historical_skew(self, net14):
-        hours = self._context(net14, warmup="fresh")
-        np.testing.assert_allclose(
-            hours[0].knowledge_angles, hours[0].baseline.angles_rad
-        )
-
     def test_staleness_two_hours(self, net14):
-        hours = self._context(net14, staleness_hours=2, warmup="wrap-around")
+        hours = self._context(net14, staleness_hours=2)
         # t=0 wraps two hours back to hour 1 of the previous (identical) day.
         np.testing.assert_allclose(
             hours[0].knowledge_angles, hours[1].baseline.angles_rad
@@ -407,7 +476,7 @@ class TestDailyOperationCampaigns:
 
         # Query the store on operation fields and read the typed records back.
         results = query_results(
-            orchestrator.store, where={"operation.warmup": "wrap-around"}
+            orchestrator.store, where={"operation.staleness_hours": 1}
         )
         assert len(results) == definition_points(definition)
         for result in results:
