@@ -182,6 +182,9 @@ def bench_fig7_random_mtd(benchmark, scale):
             "scale": scale.name,
             "n_attacks": scale.n_attacks,
             "n_random_trials": scale.n_random_trials,
+            # Headline metric (history.ndjson, --compare): the batched
+            # kernel's speedup over the reference loop on SCALE_CASE.
+            "speedup": speedup,
             "engine": {
                 "case": "ieee14",
                 "batch_size": scale.n_random_trials,
@@ -191,7 +194,6 @@ def bench_fig7_random_mtd(benchmark, scale):
                 "case": SCALE_CASE,
                 "reference_seconds": reference_seconds,
                 "batched_seconds": batched_seconds,
-                "speedup": speedup,
                 "max_probability_disagreement": max_disagreement,
             },
         },

@@ -20,8 +20,15 @@ Two solution strategies are provided:
 * ``"two-stage"`` — a fast heuristic: find the maximum-SPA perturbation
   within the D-FACTS limits, walk back along the segment towards the nominal
   reactances until the SPA constraint is just met, and re-dispatch with the
-  dispatch-only OPF.  The joint method uses this point as a feasible warm
-  start, and falls back to it if no MultiStart run converges.
+  dispatch-only OPF.  No MultiStart run starts from this point: the joint
+  method uses it only as a fallback, returned when no MultiStart run reaches
+  a feasible point, and as a cost bound, kept when the joint optimum is
+  dearer or misses the SPA target.
+
+The joint method's MultiStart local solves run in forked workers, and the
+two-stage fallback runs in one more worker alongside them (see
+:mod:`repro.utils.parallel`); every result is bit-identical to running them
+one after another.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from repro.mtd.subspace import AttackerSubspace, subspace_angle
 from repro.opf.dc_opf import solve_dc_opf
 from repro.opf.reactance_opf import ReactanceConstraint, solve_reactance_opf
 from repro.opf.result import OPFResult
+from repro.utils.parallel import start_task
 from repro.utils.rng import as_generator
 
 DesignMethod = Literal["joint", "two-stage", "max-spa"]
@@ -298,26 +306,56 @@ def design_mtd_perturbation(
         )
 
     attacker = AttackerSubspace(reduced_measurement_matrix(network, base_x))
-    spa_of_full = _memoized_spa(network, attacker, {} if context is None else context.spa)
-    two_stage = _two_stage_design(
-        network, spa_of_full, base_x, loads, gamma_threshold,
-        preferred=preferred, seed=seed, context=context,
-    )
-    if method == "two-stage":
-        return two_stage
 
+    def two_stage() -> MTDDesignResult:
+        spa_of_full = _memoized_spa(network, attacker, {} if context is None else context.spa)
+        return _two_stage_design(
+            network, spa_of_full, base_x, loads, gamma_threshold,
+            preferred=preferred, seed=seed, context=context,
+        )
+
+    if method == "two-stage":
+        return two_stage()
+
+    fallback: Callable[[], MTDDesignResult]
+    if isinstance(seed, np.random.Generator) and not DesignContext.reuse_max_spa_safe(network):
+        # The two-stage search draws from the caller's generator and the
+        # eq. (4) random starts draw after it: keep the serial order.
+        two_stage_result = two_stage()
+        fallback = lambda: two_stage_result
+    elif context is None:
+        fallback = start_task(two_stage)
+    else:
+        fallback = _start_with_context(two_stage, context)
     return _joint_design(
         network,
         attacker,
-        spa_of_full,
         base_x,
         loads,
         gamma_threshold,
-        warm_start=two_stage,
+        fallback=fallback,
         n_random_starts=n_random_starts,
         max_iterations=max_iterations,
         seed=seed,
     )
+
+
+def _start_with_context(
+    design: Callable[[], MTDDesignResult], context: DesignContext
+) -> Callable[[], MTDDesignResult]:
+    """:func:`start_task` for a design that fills ``context``.
+
+    The join takes over the worker's copies of the memos, which hold every
+    entry this process's had plus those the design added, so later designs
+    against the context keep their memo hits.
+    """
+    pending = start_task(lambda: (design(), (context.spa, context.opf, context.max_spa)))
+
+    def join() -> MTDDesignResult:
+        result, (context.spa, context.opf, context.max_spa) = pending()
+        return result
+
+    return join
 
 
 def max_spa_perturbation(
@@ -651,11 +689,10 @@ def _backtrack_to_threshold(
 def _joint_design(
     network: PowerNetwork,
     attacker: AttackerSubspace,
-    spa_of_full: SPAFunction,
     base_x: np.ndarray,
     loads: np.ndarray,
     gamma_threshold: float,
-    warm_start: MTDDesignResult,
+    fallback: Callable[[], MTDDesignResult],
     n_random_starts: int,
     max_iterations: int,
     seed: int | np.random.Generator | None,
@@ -665,13 +702,20 @@ def _joint_design(
     The SPA constraint carries its exact gradient (:func:`spa_gradient`,
     on the attacker basis ``attacker`` already holds); its values stay on
     :func:`subspace_angle`, so every reported SPA is the same metric the
-    rest of the library uses.
+    rest of the library uses.  ``fallback()`` joins the two-stage design,
+    which may still be running; it is joined before the eq. (4) result is
+    used, so a failed two-stage design raises first, as it would have when
+    run first.  The constraint's SPA memo is the design's own: entries its
+    local solves add in forked workers would not come back, so a shared
+    :class:`DesignContext` never sees them either way.
     """
+    spa_of_full = _memoized_spa(network, attacker, {})
     spa_constraint = ReactanceConstraint(
         value=lambda x: spa_of_full(x) - gamma_threshold,
         gradient=lambda x: spa_gradient(network, attacker.basis, x),
     )
 
+    opf: OPFResult | None
     try:
         opf = solve_reactance_opf(
             network,
@@ -682,15 +726,21 @@ def _joint_design(
             seed=seed,
         )
     except (OPFConvergenceError, OPFInfeasibleError):
+        opf = None
+    except BaseException:
+        fallback()
+        raise
+    two_stage = fallback()
+    if opf is None:
         # Fall back to the (feasible but possibly sub-optimal) two-stage design.
-        return warm_start
+        return two_stage
 
     achieved = spa_of_full(opf.reactances)
-    if achieved + 1e-6 < gamma_threshold or opf.cost > warm_start.cost + 1e-6:
+    if achieved + 1e-6 < gamma_threshold or opf.cost > two_stage.cost + 1e-6:
         # The local solver either drifted below the SPA target or ended in a
         # worse local optimum than the heuristic; keep the better design.
-        if warm_start.achieved_spa + 1e-9 >= gamma_threshold:
-            return warm_start
+        if two_stage.achieved_spa + 1e-9 >= gamma_threshold:
+            return two_stage
     perturbation = ReactancePerturbation.from_perturbed(network, opf.reactances, base_reactances=base_x)
     return MTDDesignResult(
         perturbation=perturbation,

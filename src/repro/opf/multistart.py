@@ -11,6 +11,7 @@ optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -19,6 +20,7 @@ from scipy.optimize import minimize
 from repro.exceptions import OPFConvergenceError
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.config import _STATE as _TELEMETRY
+from repro.utils.parallel import run_tasks
 
 VectorFunction = Callable[[np.ndarray], np.ndarray]
 
@@ -143,12 +145,18 @@ class MultiStartOptimizer:
 
     # ------------------------------------------------------------------
     def solve(self, starts: Sequence[np.ndarray]) -> MultiStartOutcome:
-        """Run the local solver from every start and keep the best feasible run."""
+        """Run the local solver from every start and keep the best feasible run.
+
+        The local solves are independent, so they run in forked workers
+        (:func:`repro.utils.parallel.run_tasks`); the runs come back in start
+        order and the reduction below is the serial one, so the outcome is
+        bit-identical to solving the starts one after another.
+        """
         if not starts:
             raise ValueError("at least one starting point is required")
-        runs: list[LocalSolve] = []
-        for start in starts:
-            runs.append(self._solve_single(np.asarray(start, dtype=float)))
+        runs = run_tasks(
+            [partial(self._solve_single, np.asarray(start, dtype=float)) for start in starts]
+        )
         feasible = [run for run in runs if run.feasible]
         best = min(feasible, key=lambda r: r.objective) if feasible else None
         if _TELEMETRY.enabled:
