@@ -25,10 +25,11 @@ Two solution strategies are provided:
   a feasible point, and as a cost bound, kept when the joint optimum is
   dearer or misses the SPA target.
 
-The joint method's MultiStart local solves run in forked workers, and the
-two-stage fallback runs in one more worker alongside them (see
-:mod:`repro.utils.parallel`); every result is bit-identical to running them
-one after another.
+The joint method's MultiStart local solves may run in forked workers, and
+the two-stage fallback in one more worker alongside them (see
+:mod:`repro.utils.parallel`), unless it fills a :class:`DesignContext` or
+draws from a caller's generator, in which case it runs first.  Every result
+is bit-identical to running them one after another.
 """
 
 from __future__ import annotations
@@ -306,9 +307,9 @@ def design_mtd_perturbation(
         )
 
     attacker = AttackerSubspace(reduced_measurement_matrix(network, base_x))
+    spa_of_full = _memoized_spa(network, attacker, {} if context is None else context.spa)
 
     def two_stage() -> MTDDesignResult:
-        spa_of_full = _memoized_spa(network, attacker, {} if context is None else context.spa)
         return _two_stage_design(
             network, spa_of_full, base_x, loads, gamma_threshold,
             preferred=preferred, seed=seed, context=context,
@@ -318,18 +319,20 @@ def design_mtd_perturbation(
         return two_stage()
 
     fallback: Callable[[], MTDDesignResult]
-    if isinstance(seed, np.random.Generator) and not DesignContext.reuse_max_spa_safe(network):
-        # The two-stage search draws from the caller's generator and the
-        # eq. (4) random starts draw after it: keep the serial order.
+    if context is not None or (
+        isinstance(seed, np.random.Generator) and not DesignContext.reuse_max_spa_safe(network)
+    ):
+        # Run the two-stage design first, as the serial order has it: it
+        # fills the caller's context, or it draws from the caller's
+        # generator before the eq. (4) random starts do.
         two_stage_result = two_stage()
         fallback = lambda: two_stage_result
-    elif context is None:
-        fallback = start_task(two_stage)
     else:
-        fallback = _start_with_context(two_stage, context)
+        fallback = start_task(two_stage)
     return _joint_design(
         network,
         attacker,
+        spa_of_full,
         base_x,
         loads,
         gamma_threshold,
@@ -338,24 +341,6 @@ def design_mtd_perturbation(
         max_iterations=max_iterations,
         seed=seed,
     )
-
-
-def _start_with_context(
-    design: Callable[[], MTDDesignResult], context: DesignContext
-) -> Callable[[], MTDDesignResult]:
-    """:func:`start_task` for a design that fills ``context``.
-
-    The join takes over the worker's copies of the memos, which hold every
-    entry this process's had plus those the design added, so later designs
-    against the context keep their memo hits.
-    """
-    pending = start_task(lambda: (design(), (context.spa, context.opf, context.max_spa)))
-
-    def join() -> MTDDesignResult:
-        result, (context.spa, context.opf, context.max_spa) = pending()
-        return result
-
-    return join
 
 
 def max_spa_perturbation(
@@ -689,6 +674,7 @@ def _backtrack_to_threshold(
 def _joint_design(
     network: PowerNetwork,
     attacker: AttackerSubspace,
+    spa_of_full: SPAFunction,
     base_x: np.ndarray,
     loads: np.ndarray,
     gamma_threshold: float,
@@ -705,11 +691,10 @@ def _joint_design(
     rest of the library uses.  ``fallback()`` joins the two-stage design,
     which may still be running; it is joined before the eq. (4) result is
     used, so a failed two-stage design raises first, as it would have when
-    run first.  The constraint's SPA memo is the design's own: entries its
-    local solves add in forked workers would not come back, so a shared
-    :class:`DesignContext` never sees them either way.
+    run first.  The constraint shares ``spa_of_full``'s memo with the
+    two-stage design; entries that local solves add in forked workers stay
+    in those workers.
     """
-    spa_of_full = _memoized_spa(network, attacker, {})
     spa_constraint = ReactanceConstraint(
         value=lambda x: spa_of_full(x) - gamma_threshold,
         gradient=lambda x: spa_gradient(network, attacker.basis, x),

@@ -144,19 +144,21 @@ class MultiStartOptimizer:
         self._tolerance = float(tolerance)
 
     # ------------------------------------------------------------------
-    def solve(self, starts: Sequence[np.ndarray]) -> MultiStartOutcome:
+    def solve(self, starts: Sequence[np.ndarray], *, fork: bool = False) -> MultiStartOutcome:
         """Run the local solver from every start and keep the best feasible run.
 
-        The local solves are independent, so they run in forked workers
-        (:func:`repro.utils.parallel.run_tasks`); the runs come back in start
-        order and the reduction below is the serial one, so the outcome is
-        bit-identical to solving the starts one after another.
+        The local solves are independent.  With ``fork`` they run in forked
+        workers (:func:`repro.utils.parallel.run_tasks`); the runs come back
+        in start order and the reduction below is the serial one, so the
+        outcome is bit-identical to solving the starts one after another.
+        A fork pays only when a local solve costs more than starting a
+        worker (about 17 ms at ieee14): eq. (4)'s SPA-constrained starts
+        (16-389 ms) gain, eq. (1)'s (about 3 ms) would lose.
         """
         if not starts:
             raise ValueError("at least one starting point is required")
-        runs = run_tasks(
-            [partial(self._solve_single, np.asarray(start, dtype=float)) for start in starts]
-        )
+        tasks = [partial(self._solve_single, np.asarray(start, dtype=float)) for start in starts]
+        runs = run_tasks(tasks) if fork else [task() for task in tasks]
         feasible = [run for run in runs if run.feasible]
         best = min(feasible, key=lambda r: r.objective) if feasible else None
         if _TELEMETRY.enabled:

@@ -435,7 +435,8 @@ def solve_reactance_opf(
         evaluated on the *full* branch reactance vector; each value must be
         non-negative when satisfied.  The MTD design problem passes the SPA
         constraint here.  A bare callable without a gradient raises
-        :class:`TypeError`.
+        :class:`TypeError`.  With extra constraints the local solves run in
+        forked workers (:meth:`MultiStartOptimizer.solve` with ``fork``).
     n_random_starts:
         Number of random-interior MultiStart points (in addition to the
         nominal and corner starts).
@@ -476,7 +477,10 @@ def solve_reactance_opf(
         inequality_constraints=inequality_blocks,
         max_iterations=max_iterations,
     )
-    outcome = optimizer.solve(problem.starting_points(n_random=n_random_starts, seed=seed))
+    outcome = optimizer.solve(
+        problem.starting_points(n_random=n_random_starts, seed=seed),
+        fork=bool(problem.extra_reactance_constraints),
+    )
     best = outcome.require_best()
     return problem.result_from_vector(
         best.x,

@@ -1,6 +1,6 @@
 """Run independent zero-argument tasks in forked worker processes.
 
-The MultiStart local solves of eq. (1)/(4) and the joint design's two-stage
+The MultiStart local solves of eq. (4) and the joint design's two-stage
 fallback do not depend on each other.  Here they run in ``fork``-ed workers,
 which inherit the tasks (closures over networks, problems and memos), so only
 each result is pickled back; ``spawn`` would have to re-import the library

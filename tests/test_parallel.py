@@ -1,7 +1,7 @@
 """Forked MultiStart: the parallel path is bit-identical to the inline one.
 
-``repro.utils.parallel`` runs eq. (1)/(4)'s local solves and the joint
-design's two-stage fallback in forked workers.  Every test here runs the
+``repro.utils.parallel`` runs eq. (4)'s local solves and the joint design's
+two-stage fallback in forked workers (eq. (1) forks here only on request).  Every test here runs the
 same computation twice — on the parallel path and forced inline by
 reporting one usable CPU — and requires byte-equal outputs.  The parallel
 path is taken whatever the BLAS thread count (the helper would otherwise
@@ -23,6 +23,8 @@ from repro.exceptions import MTDDesignError, OPFConvergenceError
 from repro.grid.cases import load_case
 from repro.mtd import design as design_module
 from repro.mtd.design import DesignContext, design_mtd_perturbation
+from repro.opf import multistart
+from repro.opf.multistart import MultiStartOptimizer
 from repro.opf.reactance_opf import solve_reactance_opf
 from repro.telemetry import metrics
 from repro.telemetry.config import enabled_scope
@@ -157,8 +159,21 @@ class TestHelper:
 
 
 class TestEq1BitIdentity:
+    def test_eq1_runs_inline(self, monkeypatch):
+        def no_fork(tasks):
+            raise AssertionError("eq. (1) forked")
+
+        monkeypatch.setattr(multistart, "run_tasks", no_fork)
+        solve_reactance_opf(load_case("ieee14"), n_random_starts=1)
+
     @pytest.mark.parametrize("case_name", ["ieee14", "ieee30"])
-    def test_parallel_equals_inline_across_loads(self, inline, case_name):
+    def test_parallel_equals_inline_across_loads(self, inline, monkeypatch, case_name):
+        """eq. (1) forced onto the forked path equals its inline solve."""
+        solve = MultiStartOptimizer.solve
+        monkeypatch.setattr(
+            MultiStartOptimizer, "solve",
+            lambda self, starts, fork=False: solve(self, starts, fork=True),
+        )
         network = load_case(case_name)
 
         def solves() -> list[tuple]:
@@ -253,10 +268,15 @@ class TestJointDesignBitIdentity:
             ]
             return designs, context_fingerprint(context)
 
-        parallel_designs, parallel_context = run()
-        assert parallel_context[0] and parallel_context[1] and parallel_context[2]
+        parallel_designs, (parallel_spa, *parallel_rest) = run()
+        assert parallel_spa and parallel_rest[0] and parallel_rest[1]
         inline()
-        assert run() == (parallel_designs, parallel_context)
+        inline_designs, (inline_spa, *inline_rest) = run()
+        assert inline_designs == parallel_designs
+        assert inline_rest == parallel_rest
+        # Local solves add SPA entries only where they run: in this process
+        # inline, in the workers on the parallel path.
+        assert set(parallel_spa) <= set(inline_spa)
 
     @pytest.mark.parametrize("case_name", ["ieee14", "ieee30"])
     def test_generator_seed_state_matches(self, inline, case_name):
